@@ -20,8 +20,10 @@ import (
 	"time"
 
 	"microp4"
+	"microp4/internal/lib"
 	"microp4/internal/obs"
 	"microp4/internal/perf"
+	"microp4/internal/pkt"
 	"microp4/internal/sim"
 )
 
@@ -33,7 +35,9 @@ const baselinePath = "BENCH_5.json"
 // Serial exercises sim.Exec directly; batch and parallel exercise the
 // full Switch architecture loop through ProcessBatchInto with a reused
 // results slice, so outBuf pooling and the persistent worker pool are
-// pinned too.
+// pinned too; fib64k is the batch mode with 65 536 routes installed and
+// 8 192 of them probed, so the table index's hit path is pinned at
+// production occupancy, not just at the dozen standard rules.
 func TestExecHotPathNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomly drops sync.Pool items, so pooling cannot be exact")
@@ -75,8 +79,13 @@ func TestExecHotPathNoAlloc(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
 		workers int
-	}{{"batch", 1}, {"parallel", 4}} {
+		routes  int // extra /24 routes, every eighth one probed
+	}{{"batch", 1, 0}, {"parallel", 4, 0}, {"fib64k", 1, 65536}} {
 		t.Run(mode.name, func(t *testing.T) {
+			progs := progs
+			if mode.routes > 0 {
+				progs = []string{"P4"}
+			}
 			for _, prog := range progs {
 				sw, err := perf.Switch(prog)
 				if err != nil {
@@ -84,7 +93,18 @@ func TestExecHotPathNoAlloc(t *testing.T) {
 				}
 				sw.SetWorkers(mode.workers)
 				traffic := perf.TrafficFor(prog)
-				batch := make([][]byte, 256)
+				for r := 0; r < mode.routes; r++ {
+					prefix := 0x30000000 + uint64(r)<<8
+					if err := sw.TryAddEntry("l3_i.ipv4_i.ipv4_lpm_tbl", []microp4.Key{microp4.LPM(prefix, 24)},
+						"l3_i.ipv4_i.process", lib.NhA); err != nil {
+						t.Fatal(err)
+					}
+					if r%8 == 0 {
+						traffic = append(traffic, pkt.NewBuilder().Ethernet(lib.DmacA, 2, pkt.EtherTypeIPv4).
+							IPv4(pkt.IPv4Opts{TTL: 64, Protocol: 6, Src: 1, Dst: uint32(prefix) | 1}).TCP(1, 80).Bytes())
+					}
+				}
+				batch := make([][]byte, max(256, len(traffic)))
 				for i := range batch {
 					batch[i] = traffic[i%len(traffic)]
 				}

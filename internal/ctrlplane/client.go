@@ -43,6 +43,9 @@ func (c Config) withDefaults() Config {
 	}
 	c.Backoff = c.Backoff.withDefaults()
 	c.Breaker = c.Breaker.withDefaults()
+	if c.Metrics == nil {
+		c.Metrics = &Metrics{} // counts nothing
+	}
 	return c
 }
 

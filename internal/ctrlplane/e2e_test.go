@@ -102,13 +102,21 @@ type scenario struct {
 
 func newScenario(t *testing.T, seed uint64, fm netsim.FaultModel) *scenario {
 	t.Helper()
+	reg := obs.NewRegistry()
+	return newScenarioMetrics(t, seed, fm, reg, ctrlplane.NewMetrics(reg))
+}
+
+// newScenarioMetrics is newScenario with the client's and the agents'
+// Metrics chosen by the caller; nil runs the scenario uninstrumented.
+func newScenarioMetrics(t *testing.T, seed uint64, fm netsim.FaultModel, reg *obs.Registry, metrics *ctrlplane.Metrics) *scenario {
+	t.Helper()
 	dp := compileP4(t)
 	s := &scenario{
 		n:        netsim.New(seed),
 		switches: map[string]*microp4.Switch{},
-		reg:      obs.NewRegistry(),
+		reg:      reg,
+		metrics:  metrics,
 	}
-	s.metrics = ctrlplane.NewMetrics(s.reg)
 	s.n.OnFault(func(e netsim.FaultEvent) {
 		s.events = append(s.events, fmt.Sprintf("fault %s %s %s", e.Link, e.Kind, e.Detail))
 	})
@@ -162,6 +170,36 @@ func (s *scenario) engineFaults() uint64 {
 		total += sw.Metrics().Counter("up4_engine_faults_total", "").Value()
 	}
 	return total
+}
+
+// TestTransactionWithoutMetrics: Config.Metrics and AgentConfig.Metrics
+// are optional. A transaction over a 10 %-drop link — so the retry and
+// timeout paths run — must commit with every one of them nil (the
+// client used to dereference its nil Metrics on the first timeout).
+func TestTransactionWithoutMetrics(t *testing.T) {
+	s := newScenarioMetrics(t, 0x5EED, netsim.FaultModel{Drop: 0.10}, nil, nil)
+	s.transact(t, updatePlan(s.client.Peers()))
+	if !s.result.Committed || len(s.result.PeerErrs) != 0 {
+		t.Fatalf("transaction did not commit cleanly: %+v", *s.result)
+	}
+	for name, sw := range s.switches {
+		if !routes(t, sw) {
+			t.Errorf("%s did not converge to the planned state", name)
+		}
+	}
+	var timeouts, retries int
+	for _, e := range s.events {
+		if strings.HasPrefix(e, "ctrl ctrl timeout") {
+			timeouts++
+		}
+		if strings.HasPrefix(e, "ctrl ctrl retry") {
+			retries++
+		}
+	}
+	if timeouts == 0 || retries == 0 {
+		t.Errorf("%d timeouts, %d retries: the lossy link did not exercise the paths under test\n%s",
+			timeouts, retries, strings.Join(s.events, "\n"))
+	}
 }
 
 // lossy is the acceptance fault model: ≥10% drop plus duplication and

@@ -6,9 +6,10 @@ import (
 
 // Metrics bundles the control-plane counters, registered in one
 // obs.Registry and shared by a Client and its Agents (pass the same
-// registry to both). The nil *Metrics is valid and counts nothing —
-// obs counters are nil-safe — so instrumentation call sites stay
-// unconditional.
+// registry to both). The nil *Metrics and the zero Metrics are valid and
+// count nothing — obs counters are nil-safe — so instrumentation call
+// sites stay unconditional; NewClient replaces a nil Config.Metrics with
+// the zero value, since the client reads the counter fields directly.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -42,7 +43,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // Reject counts one rejected op by class (a sim.Reject* string).
 func (m *Metrics) Reject(class string) {
-	if m == nil {
+	if m == nil || m.reg == nil {
 		return
 	}
 	c := m.rejects[class]
@@ -58,7 +59,7 @@ func (m *Metrics) Reject(class string) {
 // awaiting standby acknowledgment, set each sync round. Nil when
 // metrics are off.
 func (m *Metrics) FlowSyncLag(node string) *obs.Gauge {
-	if m == nil {
+	if m == nil || m.reg == nil {
 		return nil
 	}
 	g := m.flowLag[node]
@@ -73,7 +74,7 @@ func (m *Metrics) FlowSyncLag(node string) *obs.Gauge {
 // BreakerGauge returns the per-peer circuit breaker state gauge
 // (0 closed, 1 open, 2 half-open). Nil when metrics are off.
 func (m *Metrics) BreakerGauge(peer string) *obs.Gauge {
-	if m == nil {
+	if m == nil || m.reg == nil {
 		return nil
 	}
 	g := m.breaker[peer]

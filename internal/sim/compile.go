@@ -100,8 +100,12 @@ func (e *Exec) compile() {
 			}
 			ca.params = append(ca.params, cParam{slot: slot, width: p.Width})
 		}
-		ca.body = c.stmts(act.Body)
 		e.actions[name] = ca
+	}
+	// Bodies compile once every action exists: binding a table resolves
+	// its actions by name.
+	for name, act := range e.pl.Actions {
+		e.actions[name].body = c.stmts(act.Body)
 	}
 	e.prog = c.stmts(e.pl.Stmts)
 }
@@ -416,6 +420,7 @@ func (c *compiler) applyTable(name string) stmtFn {
 		keyWs[i] = orW(k.Expr.Width, 64)
 	}
 	module := moduleOf(name)
+	h := c.e.tables.bind(name, def, c.e.actions)
 	var tmc atomic.Pointer[tableMetricsCache]
 	return func(st *execState) error {
 		e := st.e
@@ -427,7 +432,7 @@ func (c *compiler) applyTable(name string) stmtFn {
 			}
 			kv[i] = truncate(v, keyWs[i])
 		}
-		call, outcome := e.tables.LookupWithOutcome(name, def, kv)
+		call, act, outcome := h.lookup(kv)
 		if m := st.m; m != nil {
 			// The cache tracks the engine's default metrics identity;
 			// per-worker shards (Metadata.M) bypass it with a direct
@@ -467,7 +472,6 @@ func (c *compiler) applyTable(name string) stmtFn {
 		if call == nil {
 			return nil
 		}
-		act := e.actions[call.Name]
 		if act == nil {
 			return &TableError{Table: name, Action: call.Name, Reason: "selected unknown action"}
 		}

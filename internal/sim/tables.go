@@ -3,6 +3,7 @@ package sim
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"microp4/internal/ir"
 )
@@ -28,43 +29,88 @@ func LPM(v uint64, plen int) RuntimeKey { return RuntimeKey{Value: v, PrefixLen:
 // Any returns a don't-care key.
 func Any() RuntimeKey { return RuntimeKey{DontCare: true} }
 
-// RuntimeEntry is one control-plane-installed table entry.
+// RuntimeEntry is one control-plane-installed table entry, as Entries
+// reports it.
 type RuntimeEntry struct {
 	Keys     []RuntimeKey
 	Action   string
 	Args     []uint64
 	Priority int // lower wins among ternary matches
-
-	// call is the entry's action invocation, prebuilt at install time so
-	// the lookup hot path returns it without allocating.
-	call *ir.ActionCall
 }
 
-// newRuntimeEntry builds an entry with its action call prebuilt.
-func newRuntimeEntry(keys []RuntimeKey, action string, args []uint64, prio int) RuntimeEntry {
-	return RuntimeEntry{
-		Keys: keys, Action: action, Args: args, Priority: prio,
-		call: &ir.ActionCall{Name: action, Args: args},
+// entry is an installed table entry. It is immutable: the table state,
+// its indexes and every snapshot share the one object, and a lookup
+// returns its prebuilt action call without allocating.
+type entry struct {
+	keys []RuntimeKey
+	call ir.ActionCall
+	prio int
+	// ord is the entry's position in its table's installation order, the
+	// last tie-break between equally ranked entries.
+	ord int
+}
+
+// tableState is everything Tables holds for one table name: the
+// installed entries, the default-action override, and one index per key
+// shape the compiled engine has bound (none for names only the
+// reference interpreter uses). The entry slice is append-only below its
+// length, so a copied slice header stays a consistent view.
+type tableState struct {
+	entries  []*entry                      // installation order; guarded by Tables.mu
+	indexes  []*tableIndex                 // guarded by Tables.mu
+	override atomic.Pointer[ir.ActionCall] // default-action override
+}
+
+// add appends an installed entry and inserts it into every index.
+func (st *tableState) add(e *entry) {
+	e.ord = len(st.entries)
+	st.entries = append(st.entries, e)
+	for _, ix := range st.indexes {
+		ix.insert(e)
+	}
+}
+
+// adopt replaces the table's entries and default override, rebuilding
+// the indexes unless es is the list already installed (same backing
+// array and length: slots of an entry list are written once).
+func (st *tableState) adopt(es []*entry, override *ir.ActionCall) {
+	same := len(es) == len(st.entries) && (len(es) == 0 || &es[0] == &st.entries[0])
+	st.entries = es
+	st.override.Store(override)
+	if same {
+		return
+	}
+	for _, ix := range st.indexes {
+		ix.rebuild(es)
 	}
 }
 
 // Tables is the control-plane state shared by the interpreter and the
 // compiled executor: runtime entries and default-action overrides, keyed
 // by fully-qualified table name (instance-path-prefixed, e.g.
-// "l3_i.ipv4_lpm_tbl"). It is safe for concurrent use.
+// "l3_i.ipv4_lpm_tbl"). It is safe for concurrent use: writers and
+// name lookups serialize on mu, the compiled engine's packet path reads
+// the per-table indexes without locking (see tables_index.go).
 type Tables struct {
-	mu       sync.RWMutex
-	entries  map[string][]RuntimeEntry
-	defaults map[string]*ir.ActionCall
-	seq      int
+	mu     sync.Mutex
+	tables map[string]*tableState
+	seq    int
 }
 
 // NewTables returns empty control-plane state.
 func NewTables() *Tables {
-	return &Tables{
-		entries:  make(map[string][]RuntimeEntry),
-		defaults: make(map[string]*ir.ActionCall),
+	return &Tables{tables: make(map[string]*tableState)}
+}
+
+// state returns the named table's state, creating it on first use.
+// Callers hold t.mu.
+func (t *Tables) state(table string) *tableState {
+	st := t.tables[table]
+	if st == nil {
+		st = &tableState{}
+		t.tables[table] = st
 	}
+	return st
 }
 
 // AddEntry installs an entry; entries installed earlier win ties.
@@ -72,7 +118,7 @@ func (t *Tables) AddEntry(table string, keys []RuntimeKey, action string, args .
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	t.entries[table] = append(t.entries[table], newRuntimeEntry(keys, action, args, t.seq))
+	t.state(table).add(&entry{keys: keys, call: ir.ActionCall{Name: action, Args: args}, prio: t.seq})
 }
 
 // AddEntryWithPriority installs an entry with an explicit priority
@@ -80,111 +126,106 @@ func (t *Tables) AddEntry(table string, keys []RuntimeKey, action string, args .
 func (t *Tables) AddEntryWithPriority(table string, prio int, keys []RuntimeKey, action string, args ...uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries[table] = append(t.entries[table], newRuntimeEntry(keys, action, args, prio))
+	t.state(table).add(&entry{keys: keys, call: ir.ActionCall{Name: action, Args: args}, prio: prio})
 }
 
 // SetDefault overrides a table's default action.
 func (t *Tables) SetDefault(table, action string, args ...uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.defaults[table] = &ir.ActionCall{Name: action, Args: args}
+	t.state(table).override.Store(&ir.ActionCall{Name: action, Args: args})
 }
 
 // ClearTable removes all runtime entries of a table.
 func (t *Tables) ClearTable(table string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.entries, table)
+	if st := t.tables[table]; st != nil {
+		st.adopt(nil, st.override.Load())
+	}
+}
+
+// view returns a consistent view of one table's entries and default
+// override; the entries are immutable and the slice is never rewritten
+// below its length, so the caller reads it without the lock.
+func (t *Tables) view(table string) ([]*entry, *ir.ActionCall) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := t.tables[table]
+	if st == nil {
+		return nil, nil
+	}
+	return st.entries, st.override.Load()
 }
 
 // Entries returns a copy of a table's runtime entries, in installation
 // order.
 func (t *Tables) Entries(table string) []RuntimeEntry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([]RuntimeEntry(nil), t.entries[table]...)
+	es, _ := t.view(table)
+	out := make([]RuntimeEntry, len(es))
+	for i, e := range es {
+		out[i] = RuntimeEntry{Keys: e.keys, Action: e.call.Name, Args: e.call.Args, Priority: e.prio}
+	}
+	return out
 }
 
 // EntryCount returns the number of runtime entries installed in a table.
 func (t *Tables) EntryCount(table string) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries[table])
+	es, _ := t.view(table)
+	return len(es)
 }
 
-// TablesSnapshot is a deep, immutable copy of control-plane table state
-// — runtime entries, default overrides, and the priority sequence —
-// taken by Snapshot and reinstated by Restore. It backs the switch
-// checkpoints the ctrlplane's two-phase commit rolls back to on abort.
+// TablesSnapshot is an immutable point-in-time copy of control-plane
+// table state — runtime entries, default overrides, and the priority
+// sequence — taken by Snapshot and reinstated by Restore. It backs the
+// switch checkpoints the ctrlplane's two-phase commit rolls back to on
+// abort. Installed entries are immutable, so a snapshot shares them
+// with the live state instead of copying.
 type TablesSnapshot struct {
-	entries  map[string][]RuntimeEntry
-	defaults map[string]*ir.ActionCall
-	seq      int
+	tables map[string]tableSnapshot
+	seq    int
 }
 
-// Snapshot returns a deep copy of the current table state. Safe to call
-// while packets are being processed and entries installed; the snapshot
-// is a consistent point-in-time view.
+type tableSnapshot struct {
+	entries  []*entry
+	override *ir.ActionCall
+}
+
+// Snapshot returns the current table state. Safe to call while packets
+// are being processed and entries installed; the snapshot is a
+// consistent point-in-time view.
 func (t *Tables) Snapshot() *TablesSnapshot {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	s := &TablesSnapshot{
-		entries:  make(map[string][]RuntimeEntry, len(t.entries)),
-		defaults: make(map[string]*ir.ActionCall, len(t.defaults)),
-		seq:      t.seq,
-	}
-	for name, es := range t.entries {
-		cp := make([]RuntimeEntry, len(es))
-		for i, e := range es {
-			cp[i] = newRuntimeEntry(
-				append([]RuntimeKey(nil), e.Keys...),
-				e.Action,
-				append([]uint64(nil), e.Args...),
-				e.Priority,
-			)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := &TablesSnapshot{tables: make(map[string]tableSnapshot), seq: t.seq}
+	for name, st := range t.tables {
+		es, override := st.entries, st.override.Load()
+		if len(es) > 0 || override != nil {
+			// Capping the capacity keeps an append after Restore off
+			// the array the live table is still appending to.
+			s.tables[name] = tableSnapshot{entries: es[:len(es):len(es)], override: override}
 		}
-		s.entries[name] = cp
-	}
-	for name, d := range t.defaults {
-		dc := *d
-		dc.Args = append([]uint64(nil), d.Args...)
-		s.defaults[name] = &dc
 	}
 	return s
 }
 
 // Restore reinstates a snapshot, replacing all runtime entries and
-// default overrides installed since it was taken. The snapshot itself is
-// not consumed: it deep-copies on the way back in, so one snapshot may
-// be restored more than once.
+// default overrides installed since it was taken. The snapshot is not
+// consumed and may be restored more than once, into any Tables.
 func (t *Tables) Restore(s *TablesSnapshot) {
 	if s == nil {
 		return
 	}
-	entries := make(map[string][]RuntimeEntry, len(s.entries))
-	for name, es := range s.entries {
-		cp := make([]RuntimeEntry, len(es))
-		for i, e := range es {
-			cp[i] = newRuntimeEntry(
-				append([]RuntimeKey(nil), e.Keys...),
-				e.Action,
-				append([]uint64(nil), e.Args...),
-				e.Priority,
-			)
-		}
-		entries[name] = cp
-	}
-	defaults := make(map[string]*ir.ActionCall, len(s.defaults))
-	for name, d := range s.defaults {
-		dc := *d
-		dc.Args = append([]uint64(nil), d.Args...)
-		defaults[name] = &dc
-	}
 	t.mu.Lock()
-	t.entries = entries
-	t.defaults = defaults
+	defer t.mu.Unlock()
+	for name := range s.tables {
+		t.state(name)
+	}
+	for name, st := range t.tables {
+		ts := s.tables[name] // zero for a table the snapshot lacks: emptied
+		st.adopt(ts.entries, ts.override)
+	}
 	t.seq = s.seq
-	t.mu.Unlock()
 }
 
 // LookupOutcome classifies a table lookup for observability.
@@ -211,18 +252,15 @@ func (t *Tables) Lookup(fqName string, def *ir.Table, keyVals []uint64) *ir.Acti
 
 // LookupWithOutcome is Lookup, also reporting how the result was
 // reached (entry hit, default action, or miss) for the per-table
-// hit/miss/default counters.
-// LookupWithOutcome is allocation-free: const entries match in place,
-// and runtime entries return their prebuilt action call. Matching
-// semantics: an entry with fewer keys than the table wildcards the
-// rest; the best match has the highest LPM prefix-length sum, ties
-// broken by lower priority (const entries rank by declaration order and
-// always precede runtime entries).
+// hit/miss/default counters. It is the reference interpreter's lookup —
+// a linear scan of every const and runtime entry — and the oracle the
+// compiled engine's index (tableHandle.lookup) is tested against.
+// Matching semantics: an entry with fewer keys than the table wildcards
+// the rest; the best match has the highest LPM prefix-length sum, ties
+// broken by lower priority (const entries rank by declaration order
+// ahead of runtime entries), then by earlier installation.
 func (t *Tables) LookupWithOutcome(fqName string, def *ir.Table, keyVals []uint64) (*ir.ActionCall, LookupOutcome) {
-	t.mu.RLock()
-	runtime := t.entries[fqName]
-	defOverride := t.defaults[fqName]
-	t.mu.RUnlock()
+	runtime, defOverride := t.view(fqName)
 
 	var best *ir.ActionCall
 	bestPlen, bestPrio := 0, 0
@@ -236,19 +274,14 @@ func (t *Tables) LookupWithOutcome(fqName string, def *ir.Table, keyVals []uint6
 			best, bestPlen, bestPrio = &e.Action, plen, i
 		}
 	}
-	for j := range runtime {
-		re := &runtime[j]
-		plen, ok := matchRuntimeEntry(def, re, keyVals)
+	for _, re := range runtime {
+		plen, ok := matchRuntimeEntry(def, re.keys, keyVals)
 		if !ok {
 			continue
 		}
-		prio := len(def.Entries) + re.Priority
+		prio := len(def.Entries) + re.prio
 		if best == nil || plen > bestPlen || (plen == bestPlen && prio < bestPrio) {
-			call := re.call
-			if call == nil { // zero-value entry installed out of band
-				call = &ir.ActionCall{Name: re.Action, Args: re.Args}
-			}
-			best, bestPlen, bestPrio = call, plen, prio
+			best, bestPlen, bestPrio = &re.call, plen, prio
 		}
 	}
 	if best != nil {
@@ -271,8 +304,7 @@ func matchConstEntry(def *ir.Table, e *ir.Entry, keyVals []uint64) (plen int, ok
 			return 0, false
 		}
 		k := &e.Keys[i]
-		rk := RuntimeKey{DontCare: k.DontCare, Value: k.Value, Mask: k.Mask, HasMask: k.HasMask, PrefixLen: k.PrefixLen}
-		if !matchKey(def.Keys[i].MatchKind, rk, keyVals[i], def.Keys[i].Expr.Width) {
+		if !matchKey(def.Keys[i].MatchKind, RuntimeKey(*k), keyVals[i], def.Keys[i].Expr.Width) {
 			return 0, false
 		}
 		if def.Keys[i].MatchKind == "lpm" && !k.DontCare {
@@ -282,18 +314,18 @@ func matchConstEntry(def *ir.Table, e *ir.Entry, keyVals []uint64) (plen int, ok
 	return plen, true
 }
 
-// matchRuntimeEntry matches one installed entry, returning its LPM
-// prefix-length sum.
-func matchRuntimeEntry(def *ir.Table, e *RuntimeEntry, keyVals []uint64) (plen int, ok bool) {
-	for i := range e.Keys {
+// matchRuntimeEntry matches one installed entry's keys, returning its
+// LPM prefix-length sum.
+func matchRuntimeEntry(def *ir.Table, keys []RuntimeKey, keyVals []uint64) (plen int, ok bool) {
+	for i := range keys {
 		if i >= len(def.Keys) {
 			return 0, false
 		}
-		if !matchKey(def.Keys[i].MatchKind, e.Keys[i], keyVals[i], def.Keys[i].Expr.Width) {
+		if !matchKey(def.Keys[i].MatchKind, keys[i], keyVals[i], def.Keys[i].Expr.Width) {
 			return 0, false
 		}
-		if def.Keys[i].MatchKind == "lpm" && !e.Keys[i].DontCare {
-			plen += e.Keys[i].PrefixLen
+		if def.Keys[i].MatchKind == "lpm" && !keys[i].DontCare {
+			plen += keys[i].PrefixLen
 		}
 	}
 	return plen, true
@@ -316,11 +348,8 @@ func matchKey(kind string, k RuntimeKey, v uint64, width int) bool {
 		if k.PrefixLen == 0 {
 			return true
 		}
-		shift := uint(width - k.PrefixLen)
-		if width >= 64 {
-			shift = uint(64 - k.PrefixLen)
-		}
-		return k.Value>>shift == v>>shift
+		shift, ok := lpmShift(width, k.PrefixLen)
+		return ok && k.Value>>shift == v>>shift
 	case "range":
 		// Value..Mask treated as an inclusive range.
 		return v >= k.Value && v <= k.Mask
@@ -328,13 +357,29 @@ func matchKey(kind string, k RuntimeKey, v uint64, width int) bool {
 	return false
 }
 
+// lpmShift returns how many low bits a prefix of plen bits ignores in a
+// column of the given width (columns of 64 bits and wider match on their
+// 64-bit key value). ok is false for a prefix length outside the column:
+// such a key matches nothing.
+func lpmShift(width, plen int) (shift uint, ok bool) {
+	if width > 64 {
+		width = 64
+	}
+	if plen < 0 || plen > width {
+		return 0, false
+	}
+	return uint(width - plen), true
+}
+
 // TableNames lists tables with runtime entries (sorted, for debugging).
 func (t *Tables) TableNames() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out []string
-	for n := range t.entries {
-		out = append(out, n)
+	for n, st := range t.tables {
+		if len(st.entries) > 0 {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out

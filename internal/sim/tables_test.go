@@ -117,6 +117,18 @@ func TestMatchKeyKinds(t *testing.T) {
 		{"lpm", LPM(0xFF000000, 8), 0xFF123456, 32, true},
 		{"lpm", LPM(0xFF000000, 8), 0xFE123456, 32, false},
 		{"lpm", LPM(0, 0), 0xFFFF, 32, true}, // zero-length prefix matches all
+		{"lpm", LPM(0x12345678, 32), 0x12345678, 32, true},
+		{"lpm", LPM(0x12345678, 32), 0x12345679, 32, false},
+		{"lpm", LPM(1<<63, 64), 1 << 63, 64, true},
+		{"lpm", LPM(1<<63, 1), 1<<63 | 5, 128, true}, // wide columns match on 64 bits
+		// A prefix longer than its column (or negative) matches nothing;
+		// it used to shift both sides to zero and match everything.
+		{"lpm", LPM(0xFF000000, 33), 0xFF000000, 32, false},
+		{"lpm", LPM(0, 33), 0, 32, false},
+		{"lpm", LPM(0, 65), 0, 64, false},
+		{"lpm", LPM(0, 65), 0, 128, false},
+		{"lpm", LPM(0, 9), 0, 8, false},
+		{"lpm", LPM(0, -1), 0, 32, false},
 		{"range", RuntimeKey{Value: 10, Mask: 20}, 15, 16, true},
 		{"range", RuntimeKey{Value: 10, Mask: 20}, 21, 16, false},
 		{"exact", Any(), 12345, 16, true},
