@@ -7,6 +7,7 @@ import (
 
 	"microp4"
 	"microp4/internal/ctrlplane"
+	"microp4/internal/golden"
 	"microp4/internal/issu"
 	"microp4/internal/lib"
 	"microp4/internal/netsim"
@@ -196,6 +197,7 @@ func TestBalancerFailover2PCChurn(t *testing.T) {
 	for _, seed := range lbSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			first := lbChurnRun(t, seed)
+			golden.Signature(t, t.Name(), []byte(first))
 			if again := lbChurnRun(t, seed); again != first {
 				t.Error("same seed produced a different run signature")
 			}
@@ -362,6 +364,17 @@ func TestBalancerUpgradeCanary(t *testing.T) {
 				t.Errorf("only %d/%d flows kept their backend across cutover + churn (<99%%)",
 					sticky, clients)
 			}
+
+			var sig strings.Builder
+			for _, d := range n.Egress("lb") {
+				fmt.Fprintf(&sig, "egress %d %x\n", d.Port, d.Data)
+			}
+			st := n.Stats()
+			for _, k := range netsim.FaultKinds {
+				fmt.Fprintf(&sig, "fault %s %d\n", k, st.Faults[k])
+			}
+			fmt.Fprintf(&sig, "steps %d gen %d\n", st.Steps, sw.Generation())
+			golden.Signature(t, t.Name(), []byte(sig.String()))
 		})
 	}
 }

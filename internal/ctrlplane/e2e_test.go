@@ -9,6 +9,7 @@ import (
 
 	"microp4"
 	"microp4/internal/ctrlplane"
+	"microp4/internal/golden"
 	"microp4/internal/lib"
 	"microp4/internal/netsim"
 	"microp4/internal/obs"
@@ -250,9 +251,12 @@ func TestTransactionDeterministicPerSeed(t *testing.T) {
 	if a != b {
 		t.Errorf("same seed, different event sequence:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
-	if c := run(0xD1FF); c == a {
+	c := run(0xD1FF)
+	if c == a {
 		t.Error("different seed reproduced the identical event sequence — clock or rng is not seed-driven")
 	}
+	golden.Signature(t, t.Name()+"/seed=0x5eed", []byte(a))
+	golden.Signature(t, t.Name()+"/seed=0xd1ff", []byte(c))
 }
 
 // TestTransactionAbortsAtomically dooms the plan with one invalid op:

@@ -11,6 +11,7 @@ import (
 	"microp4"
 	"microp4/internal/ctrlplane"
 	"microp4/internal/flow"
+	"microp4/internal/golden"
 	"microp4/internal/lib"
 	"microp4/internal/netsim"
 	"microp4/internal/obs"
@@ -426,6 +427,7 @@ func TestFlowFailover(t *testing.T) {
 			if first.resyncs == 0 {
 				t.Error("no anti-entropy resync rounds ran during the churn")
 			}
+			golden.Signature(t, t.Name(), []byte(first.signature))
 			second := runFailover(t, seed)
 			if first.signature != second.signature {
 				t.Errorf("failover run is not reproducible for seed %d:\n--- first\n%s--- second\n%s",

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"microp4/internal/golden"
 	"microp4/internal/netsim"
 	"microp4/internal/trace"
 )
@@ -157,4 +158,5 @@ func TestTransactionTraceDeterministicPerSeed(t *testing.T) {
 	if string(a) != string(b) {
 		t.Errorf("same seed, different span stream:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
+	golden.Signature(t, t.Name(), a)
 }

@@ -8,6 +8,7 @@ import (
 
 	"microp4"
 	"microp4/internal/flow"
+	"microp4/internal/golden"
 	"microp4/internal/issu"
 	"microp4/internal/lib"
 	"microp4/internal/netsim"
@@ -465,6 +466,7 @@ func TestUpgradeUnderChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Run("clean-cutover", func(t *testing.T) {
 				first := runClean(t, seed)
+				golden.Signature(t, t.Name(), []byte(first))
 				if second := runClean(t, seed); first != second {
 					t.Errorf("clean upgrade not reproducible for seed %d:\n--- first\n%s--- second\n%s",
 						seed, first, second)
@@ -472,6 +474,7 @@ func TestUpgradeUnderChaos(t *testing.T) {
 			})
 			t.Run("buggy-rolled-back", func(t *testing.T) {
 				first := runBuggy(t, seed)
+				golden.Signature(t, t.Name(), []byte(first))
 				if second := runBuggy(t, seed); first != second {
 					t.Errorf("buggy upgrade not reproducible for seed %d:\n--- first\n%s--- second\n%s",
 						seed, first, second)
@@ -479,6 +482,7 @@ func TestUpgradeUnderChaos(t *testing.T) {
 			})
 			t.Run("mid-canary-kill", func(t *testing.T) {
 				first := runMidCanaryKill(t, seed)
+				golden.Signature(t, t.Name(), []byte(first))
 				if second := runMidCanaryKill(t, seed); first != second {
 					t.Errorf("mid-canary kill not reproducible for seed %d:\n--- first\n%s--- second\n%s",
 						seed, first, second)
