@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-suite bench-check fuzz upgrade-smoke verify-paths
+.PHONY: all build test race bench bench-suite bench-check fuzz upgrade-smoke verify-paths loc
 
 all: build test
 
@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/netsim/... ./internal/ctrlplane/... ./internal/flow/... ./internal/issu/... .
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/netsim/... ./internal/wire/... ./internal/ctrlplane/... ./internal/flow/... ./internal/issu/... .
 
 # bench measures the packet-throughput trajectory (P1-P11, both engines,
 # serial/batch/parallel) and rewrites the committed baseline.
@@ -37,6 +37,7 @@ bench-check:
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProcess$$' -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzTableIndex -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 20s ./internal/wire
 
 # upgrade-smoke performs an in-service P9 -> P9v2 upgrade (stage, shadow
 # canary, cutover) over 10% drop links end to end.
@@ -49,3 +50,12 @@ upgrade-smoke:
 # byte-for-byte (see DESIGN.md "Mechanized equivalence").
 verify-paths:
 	$(GO) run ./cmd/up4c -verify-paths
+
+# loc prints the non-test Go lines per package, largest first, and their
+# total: the "net non-test LOC" every PR reports in CHANGES.md. Test
+# support that lives outside _test.go files (it imports "testing") is
+# not counted either.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs grep -L '^	"testing"$$' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) print n[d], d; print t, "total" }' | sort -rn

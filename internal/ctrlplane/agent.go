@@ -6,19 +6,16 @@ import (
 
 	"microp4"
 	"microp4/internal/sim"
+	"microp4/internal/wire"
 )
 
-// AgentConfig tunes one per-switch agent.
+// AgentConfig wires one per-switch agent into its node.
 type AgentConfig struct {
 	// Name labels the agent's trace events (usually the node name).
 	Name string
 	// CtrlPort is the port control messages arrive on; packets on any
 	// other port are forwarded to the wrapped switch's dataplane.
 	CtrlPort uint64
-	// Window bounds the per-session dedup cache (default 128 replies).
-	// A retransmission of a sequence number still in the window replays
-	// the cached reply instead of re-applying the op.
-	Window int
 	// Metrics counts rejects (optional; share the client's registry).
 	Metrics *Metrics
 	// Bus receives "ctrl" trace events (optional; usually the
@@ -39,16 +36,10 @@ type AgentConfig struct {
 // are safe to race with direct Process calls and churn, per the Switch
 // concurrency contract.
 type Agent struct {
-	sw       *microp4.Switch
-	cfg      AgentConfig
-	sessions map[uint64]*session
-	txns     map[uint64]*agentTxn
-}
-
-// session is one client channel's dedup state.
-type session struct {
-	replies map[uint64][]byte // seq → encoded reply
-	order   []uint64          // insertion order, for window eviction
+	sw     *microp4.Switch
+	cfg    AgentConfig
+	window *wire.Window // a retransmitted seq still in it replays its cached reply
+	txns   map[uint64]*agentTxn
 }
 
 // agentTxn is one in-progress transaction on this agent.
@@ -60,14 +51,11 @@ type agentTxn struct {
 
 // NewAgent wraps a switch in a control-protocol agent.
 func NewAgent(sw *microp4.Switch, cfg AgentConfig) *Agent {
-	if cfg.Window <= 0 {
-		cfg.Window = 128
-	}
 	return &Agent{
-		sw:       sw,
-		cfg:      cfg,
-		sessions: make(map[uint64]*session),
-		txns:     make(map[uint64]*agentTxn),
+		sw:     sw,
+		cfg:    cfg,
+		window: wire.NewWindow(wire.DedupWindow),
+		txns:   make(map[uint64]*agentTxn),
 	}
 }
 
@@ -85,40 +73,20 @@ func (a *Agent) Process(pkt []byte, inPort uint64) ([]microp4.Output, error) {
 		// Corruption (bit flips, truncation) or garbage: no session or
 		// sequence to answer to, so drop; the sender's timeout recovers.
 		a.cfg.Metrics.Reject(sim.RejectMalformed)
-		a.event("reject", sim.RejectMalformed+": "+err.Error())
+		a.event("reject", func() string { return sim.RejectMalformed + ": " + err.Error() })
 		return nil, nil
 	}
-	sess := a.session(op.Session)
-	if cached, ok := sess.replies[op.Seq]; ok {
+	if cached, ok := a.window.Replay(op.Session, op.Seq); ok {
 		// At-least-once made exactly-once: a duplicate (retransmission
 		// or link-level dup) replays the cached verdict, never the op.
-		a.event("dup", fmt.Sprintf("session %#x seq %d", op.Session, op.Seq))
-		return []microp4.Output{{Port: a.cfg.CtrlPort, Data: append([]byte(nil), cached...)}}, nil
+		// The network copies a frame whenever it alters or duplicates
+		// one, so the cached slice itself can go out again.
+		a.event("dup", func() string { return fmt.Sprintf("session %#x seq %d", op.Session, op.Seq) })
+		return []microp4.Output{{Port: a.cfg.CtrlPort, Data: cached}}, nil
 	}
-	rep := a.handle(op)
-	enc := EncodeCtrlReply(rep)
-	sess.remember(op.Seq, enc, a.cfg.Window)
+	enc := EncodeCtrlReply(a.handle(op))
+	a.window.Remember(op.Session, op.Seq, enc)
 	return []microp4.Output{{Port: a.cfg.CtrlPort, Data: enc}}, nil
-}
-
-func (a *Agent) session(id uint64) *session {
-	s := a.sessions[id]
-	if s == nil {
-		s = &session{replies: make(map[uint64][]byte)}
-		a.sessions[id] = s
-	}
-	return s
-}
-
-func (s *session) remember(seq uint64, reply []byte, window int) {
-	if _, dup := s.replies[seq]; !dup {
-		s.order = append(s.order, seq)
-	}
-	s.replies[seq] = reply
-	for len(s.order) > window {
-		delete(s.replies, s.order[0])
-		s.order = s.order[1:]
-	}
 }
 
 // handle applies one fresh (non-duplicate) op and builds its reply.
@@ -134,7 +102,7 @@ func (a *Agent) handle(op *CtrlOp) *CtrlReply {
 			}
 			t := a.txn(op.Txn)
 			t.staged = append(t.staged, op)
-			a.event("stage", fmt.Sprintf("txn %d %s %s", op.Txn, op.Kind, op.Table))
+			a.event("stage", func() string { return fmt.Sprintf("txn %d %s %s", op.Txn, op.Kind, op.Table) })
 			return ok
 		}
 		if err := a.apply(op); err != nil {
@@ -145,7 +113,7 @@ func (a *Agent) handle(op *CtrlOp) *CtrlReply {
 			}
 			return a.reject(op, ce)
 		}
-		a.event("apply", fmt.Sprintf("%s %s", op.Kind, op.Table))
+		a.event("apply", func() string { return fmt.Sprintf("%s %s", op.Kind, op.Table) })
 		return ok
 
 	case OpPrepare:
@@ -162,7 +130,7 @@ func (a *Agent) handle(op *CtrlOp) *CtrlReply {
 				Reason: fmt.Sprintf("transaction %d is not prepared", op.Txn)})
 		}
 		delete(a.txns, op.Txn) // discard the checkpoint: changes are final
-		a.event("commit", fmt.Sprintf("txn %d", op.Txn))
+		a.event("commit", func() string { return fmt.Sprintf("txn %d", op.Txn) })
 		return ok
 
 	case OpAbort:
@@ -175,7 +143,7 @@ func (a *Agent) handle(op *CtrlOp) *CtrlReply {
 			}
 			delete(a.txns, op.Txn)
 		}
-		a.event("abort", fmt.Sprintf("txn %d", op.Txn))
+		a.event("abort", func() string { return fmt.Sprintf("txn %d", op.Txn) })
 		return ok
 	}
 	return a.reject(op, &sim.ControlError{Op: op.Kind.String(),
@@ -206,7 +174,7 @@ func (a *Agent) prepare(op *CtrlOp) *CtrlReply {
 	}
 	t.prepared = true
 	t.cp = cp
-	a.event("prepare", fmt.Sprintf("txn %d: %d ops applied", op.Txn, len(t.staged)))
+	a.event("prepare", func() string { return fmt.Sprintf("txn %d: %d ops applied", op.Txn, len(t.staged)) })
 	return &CtrlReply{Session: op.Session, Seq: op.Seq, Status: StatusOK}
 }
 
@@ -265,13 +233,16 @@ func (a *Agent) validate(op *CtrlOp) *sim.ControlError {
 
 func (a *Agent) reject(op *CtrlOp, ce *sim.ControlError) *CtrlReply {
 	a.cfg.Metrics.Reject(ce.Kind)
-	a.event("reject", fmt.Sprintf("%s: %s: %s", op.Kind, ce.Kind, ce.Reason))
-	return rejected(op, ce)
+	a.event("reject", func() string { return fmt.Sprintf("%s: %s: %s", op.Kind, ce.Kind, ce.Reason) })
+	return &CtrlReply{Session: op.Session, Seq: op.Seq, Status: StatusRejected,
+		Class: ce.Kind, Reason: ce.Reason}
 }
 
-func (a *Agent) event(name, detail string) {
+// event publishes a "ctrl" trace event; detail runs only when a
+// subscriber will read it.
+func (a *Agent) event(name string, detail func() string) {
 	if a.cfg.Bus.Active() {
-		a.cfg.Bus.Publish(sim.TraceEvent{Kind: "ctrl", Module: a.cfg.Name, Name: name, Detail: detail})
+		a.cfg.Bus.Publish(sim.TraceEvent{Kind: "ctrl", Module: a.cfg.Name, Name: name, Detail: detail()})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"microp4/internal/ctrlplane"
 	"microp4/internal/obs"
 	"microp4/internal/sim"
+	"microp4/internal/wire"
 )
 
 // sendOp drives one encoded op straight into an agent (no network) and
@@ -60,24 +61,27 @@ func TestAgentDedup(t *testing.T) {
 	}
 }
 
-// TestAgentDedupWindowEviction: sequences older than the window are
-// forgotten; a replay outside the window is treated as new.
+// TestAgentDedupWindowEviction: the agent keeps wire.DedupWindow replies
+// per session; a replay of an older sequence is treated as new, one
+// still inside the window is answered from the cache. (The eviction
+// order itself is unit-tested on wire.Window.)
 func TestAgentDedupWindowEviction(t *testing.T) {
-	m := ctrlplane.NewMetrics(obs.NewRegistry())
-	sw := compileP4(t).NewSwitch()
-	a := ctrlplane.NewAgent(sw, ctrlplane.AgentConfig{
-		Name: "s1", CtrlPort: ctrlPort, Window: 2, Metrics: m,
-	})
-	for seq := uint64(1); seq <= 3; seq++ {
+	a, _ := newTestAgent(t)
+	for seq := uint64(1); seq <= wire.DedupWindow+1; seq++ {
 		sendOp(t, a, &ctrlplane.CtrlOp{Session: 5, Seq: seq,
 			Kind: ctrlplane.OpClearTable, Table: "forward_tbl"})
 	}
-	// Seq 1 was evicted (window 2 holds 2 and 3): replaying it with a
-	// now-invalid body is re-judged, not replayed from cache.
+	// Seq 1 was evicted: replaying it with a now-invalid body is
+	// re-judged, not replayed from cache. Seq 3 is still cached.
 	rep := sendOp(t, a, &ctrlplane.CtrlOp{Session: 5, Seq: 1,
 		Kind: ctrlplane.OpClearTable, Table: "nope_tbl"})
 	if rep.Status != ctrlplane.StatusRejected {
 		t.Errorf("evicted seq replayed a cached reply: %+v", rep)
+	}
+	rep = sendOp(t, a, &ctrlplane.CtrlOp{Session: 5, Seq: 3,
+		Kind: ctrlplane.OpClearTable, Table: "nope_tbl"})
+	if rep.Status != ctrlplane.StatusOK {
+		t.Errorf("seq inside the window was re-judged: %+v", rep)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"microp4/internal/obs"
 	"microp4/internal/pkt"
 	"microp4/internal/sim"
+	"microp4/internal/wire"
 )
 
 // compileP4 builds the flagship composed router (program P4).
@@ -349,8 +350,31 @@ func TestBreakerOpensOnDeadPeer(t *testing.T) {
 		}
 	}
 	gauge := s.reg.Gauge("up4_ctrl_breaker_state", "", obs.L("peer", "s1"))
-	if gauge.Value() == int64(ctrlplane.BreakerClosed) {
+	if gauge.Value() == int64(wire.BreakerClosed) {
 		t.Error("breaker still closed after a fully dead channel")
+	}
+}
+
+// TestParkedClientIsNamedByWatchdog: a client retrying into a dead
+// channel re-arms timers that move no packets; when the run watchdog
+// gives up on the network it must name the client's await/retry timers
+// as the owners (they used to be anonymous).
+func TestParkedClientIsNamedByWatchdog(t *testing.T) {
+	s := newScenario(t, 11, netsim.FaultModel{Drop: 1.0})
+	s.n.SetWatchdog(4)
+	if err := s.client.Do("s1", ctrlplane.ClearTable("forward_tbl"), nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.n.Run(0)
+	if err == nil {
+		t.Fatal("watchdog did not fire on a client parked against a dead peer")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "ctrl await s1") && !strings.Contains(msg, "ctrl retry s1") {
+		t.Errorf("watchdog error does not name the parked client: %v", err)
+	}
+	if strings.Contains(msg, "unnamed") {
+		t.Errorf("watchdog error still reports an anonymous timer: %v", err)
 	}
 }
 

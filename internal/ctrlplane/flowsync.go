@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microp4/internal/flow"
+	"microp4/internal/wire"
 )
 
 // Flow-state replication wire protocol. An active switch streams its
@@ -14,7 +15,7 @@ import (
 // The protocol reuses the control codec's failure split:
 //
 //   - the codec turns corruption into losses (checksum, strict length
-//     accounting — FuzzDecodeFlowSync holds the never-panic contract);
+//     accounting);
 //   - the standby makes at-least-once delivery safe by deduplicating
 //     on (session, sequence) and replaying the cached ack, and applies
 //     entries through flow.Table.Install, which is idempotent and
@@ -96,110 +97,77 @@ type FlowAck struct {
 // chunks larger batches across frames.
 const maxWireFlows = 256
 
-const (
-	wireMsgFlowSync = 3
-	wireMsgFlowAck  = 4
+var (
+	kindFlowSync = wire.Kind{Family: "ctrlplane", Magic: wireMagic, Type: 3, Name: "a flow-sync"}
+	kindFlowAck  = wire.Kind{Family: "ctrlplane", Magic: wireMagic, Type: 4, Name: "a flow-ack"}
 )
 
 // EncodeFlowSync serializes a replication message for transmission.
 func EncodeFlowSync(m *FlowSync) []byte {
-	w := &wireWriter{buf: make([]byte, 0, 64+57*len(m.Entries))}
-	w.u8(wireMagic)
-	w.u8(wireVersion)
-	w.u8(wireMsgFlowSync)
-	w.u8(uint8(m.Kind))
-	w.u64(m.Session)
-	w.u64(m.Seq)
-	w.str(m.Table)
-	w.u64(m.Clock)
-	ne := len(m.Entries)
-	if ne > maxWireFlows {
-		ne = maxWireFlows
+	w := kindFlowSync.Begin(wire.Header{Flag: uint8(m.Kind), Session: m.Session, Seq: m.Seq}, 64+57*len(m.Entries))
+	w.Str(m.Table, maxWireString)
+	w.U64(m.Clock)
+	for _, e := range m.Entries[:w.Count(len(m.Entries), maxWireFlows)] {
+		w.U64(e.Key.SrcAddr)
+		w.U64(e.Key.DstAddr)
+		w.U64(e.Key.Proto)
+		w.U64(e.Key.SrcPort)
+		w.U64(e.Key.DstPort)
+		w.U8(e.State)
+		w.U64(e.Expire)
+		w.U64(e.Val)
 	}
-	w.u16(uint16(ne))
-	for _, e := range m.Entries[:ne] {
-		w.u64(e.Key.SrcAddr)
-		w.u64(e.Key.DstAddr)
-		w.u64(e.Key.Proto)
-		w.u64(e.Key.SrcPort)
-		w.u64(e.Key.DstPort)
-		w.u8(e.State)
-		w.u64(e.Expire)
-		w.u64(e.Val)
-	}
-	return w.finish()
+	return w.Finish()
 }
 
 // DecodeFlowSync parses a replication message. Arbitrary input never
 // panics; corrupted, truncated, or oversized messages return an error.
 func DecodeFlowSync(data []byte) (*FlowSync, error) {
-	r := &wireReader{buf: data}
-	if t := r.checkHeader(); r.err == nil && t != wireMsgFlowSync {
-		r.fail("not a flow-sync message")
+	r, h := kindFlowSync.Open(data)
+	m := &FlowSync{Kind: SyncKind(h.Flag), Session: h.Session, Seq: h.Seq}
+	if m.Kind == 0 || m.Kind >= syncKindEnd {
+		r.Fail("unknown sync kind")
 	}
-	m := &FlowSync{}
-	m.Kind = SyncKind(r.u8())
-	if r.err == nil && (m.Kind == 0 || m.Kind >= syncKindEnd) {
-		r.fail("unknown sync kind")
-	}
-	m.Session = r.u64()
-	m.Seq = r.u64()
-	m.Table = r.str()
-	m.Clock = r.u64()
-	ne := int(r.u16())
-	if ne > maxWireFlows {
-		r.fail("too many flow entries")
-		ne = 0
-	}
-	for i := 0; i < ne && r.err == nil; i++ {
+	m.Table = r.Str(maxWireString)
+	m.Clock = r.U64()
+	for i, ne := 0, r.Count(maxWireFlows, "flow entries"); i < ne && r.Ok(); i++ {
 		var e FlowRec
-		e.Key.SrcAddr = r.u64()
-		e.Key.DstAddr = r.u64()
-		e.Key.Proto = r.u64()
-		e.Key.SrcPort = r.u64()
-		e.Key.DstPort = r.u64()
-		e.State = r.u8()
-		if r.err == nil && e.State > flow.StateEstablished {
-			r.fail("unknown flow state")
+		e.Key.SrcAddr = r.U64()
+		e.Key.DstAddr = r.U64()
+		e.Key.Proto = r.U64()
+		e.Key.SrcPort = r.U64()
+		e.Key.DstPort = r.U64()
+		e.State = r.U8()
+		if e.State > flow.StateEstablished {
+			r.Fail("unknown flow state")
 		}
-		e.Expire = r.u64()
-		e.Val = r.u64()
+		e.Expire = r.U64()
+		e.Val = r.U64()
 		m.Entries = append(m.Entries, e)
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// EncodeFlowAck serializes an acknowledgment for transmission.
+// EncodeFlowAck serializes an acknowledgment for transmission. Its
+// header flag is reserved and zero.
 func EncodeFlowAck(a *FlowAck) []byte {
-	w := &wireWriter{buf: make([]byte, 0, 32)}
-	w.u8(wireMagic)
-	w.u8(wireVersion)
-	w.u8(wireMsgFlowAck)
-	w.u8(0) // reserved, keeps the 4-byte fixed header shape
-	w.u64(a.Session)
-	w.u64(a.Seq)
-	w.u64(a.Applied)
-	return w.finish()
+	w := kindFlowAck.Begin(wire.Header{Session: a.Session, Seq: a.Seq}, 32)
+	w.U64(a.Applied)
+	return w.Finish()
 }
 
 // DecodeFlowAck parses an acknowledgment (same guarantees as
 // DecodeFlowSync).
 func DecodeFlowAck(data []byte) (*FlowAck, error) {
-	r := &wireReader{buf: data}
-	if t := r.checkHeader(); r.err == nil && t != wireMsgFlowAck {
-		r.fail("not a flow-ack message")
+	r, h := kindFlowAck.Open(data)
+	if h.Flag != 0 {
+		r.Fail("nonzero reserved byte")
 	}
-	if v := r.u8(); r.err == nil && v != 0 {
-		r.fail("nonzero reserved byte")
-	}
-	a := &FlowAck{}
-	a.Session = r.u64()
-	a.Seq = r.u64()
-	a.Applied = r.u64()
-	if err := r.finish(); err != nil {
+	a := &FlowAck{Session: h.Session, Seq: h.Seq, Applied: r.U64()}
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return a, nil

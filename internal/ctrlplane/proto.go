@@ -24,12 +24,10 @@
 package ctrlplane
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"microp4"
-	"microp4/internal/sim"
+	"microp4/internal/wire"
 )
 
 // OpKind names one control operation.
@@ -89,10 +87,10 @@ type CtrlKey struct {
 
 // Exact, Ternary, LPM, and Any build wire keys mirroring the public
 // microp4 key constructors.
-func Exact(v uint64) CtrlKey          { return CtrlKey{Kind: KeyExact, Value: v} }
-func Ternary(v, mask uint64) CtrlKey  { return CtrlKey{Kind: KeyTernary, Value: v, Mask: mask} }
-func LPM(v uint64, plen int) CtrlKey  { return CtrlKey{Kind: KeyLPM, Value: v, PrefixLen: uint32(plen)} }
-func Any() CtrlKey                    { return CtrlKey{Kind: KeyAny} }
+func Exact(v uint64) CtrlKey         { return CtrlKey{Kind: KeyExact, Value: v} }
+func Ternary(v, mask uint64) CtrlKey { return CtrlKey{Kind: KeyTernary, Value: v, Mask: mask} }
+func LPM(v uint64, plen int) CtrlKey { return CtrlKey{Kind: KeyLPM, Value: v, PrefixLen: uint32(plen)} }
+func Any() CtrlKey                   { return CtrlKey{Kind: KeyAny} }
 
 // runtimeKey converts a wire key to a public switch key.
 func (k CtrlKey) runtimeKey() microp4.Key {
@@ -148,25 +146,12 @@ type CtrlReply struct {
 	Reason  string
 }
 
-// Rejected builds the reply for a validation failure.
-func rejected(op *CtrlOp, ce *sim.ControlError) *CtrlReply {
-	return &CtrlReply{Session: op.Session, Seq: op.Seq, Status: StatusRejected,
-		Class: ce.Kind, Reason: ce.Reason}
-}
-
-// Wire format. Little-endian throughout; strings are u16 length +
-// bytes; slices are u16 count + elements. A 4-byte FNV-1a checksum
-// trails every message, so link-level bit flips and truncations decode
-// as errors (and become retransmissions) instead of as different valid
-// messages. Decoding is strict: caps on every count, no trailing
-// garbage, never a panic — DecodeCtrlOp and DecodeCtrlReply are fuzzed
-// on arbitrary bytes.
+// Wire format: internal/wire frames under the ctrlplane magic. Strings
+// are u16 length + bytes; slices are u16 count + elements. Decoding is
+// strict: caps on every count, no trailing garbage, never a panic. The
+// frame syntax is wire's; the checks here are the family's semantics.
 const (
-	wireMagic   = 0xC5
-	wireVersion = 1
-
-	wireMsgOp    = 1
-	wireMsgReply = 2
+	wireMagic = 0xC5
 
 	maxWireString = 1024
 	maxWireKeys   = 64
@@ -174,239 +159,70 @@ const (
 	maxWirePorts  = 256
 )
 
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *wireWriter) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *wireWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *wireWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *wireWriter) str(s string) {
-	if len(s) > maxWireString {
-		s = s[:maxWireString]
-	}
-	w.u16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *wireWriter) finish() []byte {
-	h := fnv.New32a()
-	_, _ = h.Write(w.buf)
-	return binary.LittleEndian.AppendUint32(w.buf, h.Sum32())
-}
+var (
+	kindCtrlOp    = wire.Kind{Family: "ctrlplane", Magic: wireMagic, Type: 1, Name: "an op"}
+	kindCtrlReply = wire.Kind{Family: "ctrlplane", Magic: wireMagic, Type: 2, Name: "a reply"}
+)
 
 // EncodeCtrlOp serializes an op for transmission.
 func EncodeCtrlOp(op *CtrlOp) []byte {
-	w := &wireWriter{buf: make([]byte, 0, 64)}
-	w.u8(wireMagic)
-	w.u8(wireVersion)
-	w.u8(wireMsgOp)
-	w.u8(uint8(op.Kind))
-	w.u64(op.Session)
-	w.u64(op.Seq)
-	w.u64(op.Txn)
-	w.str(op.Table)
-	w.str(op.Action)
-	nk := len(op.Keys)
-	if nk > maxWireKeys {
-		nk = maxWireKeys
+	w := kindCtrlOp.Begin(wire.Header{Flag: uint8(op.Kind), Session: op.Session, Seq: op.Seq}, 64)
+	w.U64(op.Txn)
+	w.Str(op.Table, maxWireString)
+	w.Str(op.Action, maxWireString)
+	for _, k := range op.Keys[:w.Count(len(op.Keys), maxWireKeys)] {
+		w.U8(uint8(k.Kind))
+		w.U64(k.Value)
+		w.U64(k.Mask)
+		w.U32(k.PrefixLen)
 	}
-	w.u16(uint16(nk))
-	for _, k := range op.Keys[:nk] {
-		w.u8(uint8(k.Kind))
-		w.u64(k.Value)
-		w.u64(k.Mask)
-		w.u32(k.PrefixLen)
+	for _, a := range op.Args[:w.Count(len(op.Args), maxWireArgs)] {
+		w.U64(a)
 	}
-	na := len(op.Args)
-	if na > maxWireArgs {
-		na = maxWireArgs
+	w.U64(op.Group)
+	for _, p := range op.Ports[:w.Count(len(op.Ports), maxWirePorts)] {
+		w.U64(p)
 	}
-	w.u16(uint16(na))
-	for _, a := range op.Args[:na] {
-		w.u64(a)
-	}
-	w.u64(op.Group)
-	np := len(op.Ports)
-	if np > maxWirePorts {
-		np = maxWirePorts
-	}
-	w.u16(uint16(np))
-	for _, p := range op.Ports[:np] {
-		w.u64(p)
-	}
-	return w.finish()
+	return w.Finish()
 }
 
 // EncodeCtrlReply serializes a reply for transmission.
 func EncodeCtrlReply(r *CtrlReply) []byte {
-	w := &wireWriter{buf: make([]byte, 0, 48)}
-	w.u8(wireMagic)
-	w.u8(wireVersion)
-	w.u8(wireMsgReply)
-	w.u8(uint8(r.Status))
-	w.u64(r.Session)
-	w.u64(r.Seq)
-	w.str(r.Class)
-	w.str(r.Reason)
-	return w.finish()
-}
-
-// wireReader is a bounds-checked cursor; the first failure latches.
-type wireReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *wireReader) fail(why string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ctrlplane: malformed message: %s", why)
-	}
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.buf) {
-		r.fail("truncated")
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *wireReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *wireReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *wireReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *wireReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *wireReader) str() string {
-	n := int(r.u16())
-	if n > maxWireString {
-		r.fail("string too long")
-		return ""
-	}
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// checkHeader consumes and verifies magic/version and the trailing
-// checksum, returning the message type byte.
-func (r *wireReader) checkHeader() uint8 {
-	if len(r.buf) < 8 { // magic+version+type+status/kind + checksum
-		r.fail("too short")
-		return 0
-	}
-	body, sum := r.buf[:len(r.buf)-4], binary.LittleEndian.Uint32(r.buf[len(r.buf)-4:])
-	h := fnv.New32a()
-	_, _ = h.Write(body)
-	if h.Sum32() != sum {
-		r.fail("bad checksum")
-		return 0
-	}
-	r.buf = body // everything after is parsed against the checksummed body
-	if r.u8() != wireMagic {
-		r.fail("bad magic")
-		return 0
-	}
-	if r.u8() != wireVersion {
-		r.fail("unsupported version")
-		return 0
-	}
-	return r.u8()
-}
-
-// finish rejects messages with trailing bytes — a truncation-resistant
-// codec must account for every byte.
-func (r *wireReader) finish() error {
-	if r.err == nil && r.pos != len(r.buf) {
-		r.fail("trailing bytes")
-	}
-	return r.err
+	w := kindCtrlReply.Begin(wire.Header{Flag: uint8(r.Status), Session: r.Session, Seq: r.Seq}, 48)
+	w.Str(r.Class, maxWireString)
+	w.Str(r.Reason, maxWireString)
+	return w.Finish()
 }
 
 // DecodeCtrlOp parses an op message. Arbitrary input never panics;
 // corrupted, truncated, or oversized messages return an error.
 func DecodeCtrlOp(data []byte) (*CtrlOp, error) {
-	r := &wireReader{buf: data}
-	if t := r.checkHeader(); r.err == nil && t != wireMsgOp {
-		r.fail("not an op message")
+	r, h := kindCtrlOp.Open(data)
+	op := &CtrlOp{Kind: OpKind(h.Flag), Session: h.Session, Seq: h.Seq}
+	if op.Kind == 0 || op.Kind >= opKindEnd {
+		r.Fail("unknown op kind")
 	}
-	op := &CtrlOp{}
-	op.Kind = OpKind(r.u8())
-	if r.err == nil && (op.Kind == 0 || op.Kind >= opKindEnd) {
-		r.fail("unknown op kind")
-	}
-	op.Session = r.u64()
-	op.Seq = r.u64()
-	op.Txn = r.u64()
-	op.Table = r.str()
-	op.Action = r.str()
-	nk := int(r.u16())
-	if nk > maxWireKeys {
-		r.fail("too many keys")
-		nk = 0
-	}
-	for i := 0; i < nk && r.err == nil; i++ {
-		k := CtrlKey{Kind: KeyKind(r.u8())}
-		if r.err == nil && k.Kind >= keyKindEnd {
-			r.fail("unknown key kind")
+	op.Txn = r.U64()
+	op.Table = r.Str(maxWireString)
+	op.Action = r.Str(maxWireString)
+	for i, nk := 0, r.Count(maxWireKeys, "keys"); i < nk && r.Ok(); i++ {
+		k := CtrlKey{Kind: KeyKind(r.U8())}
+		if k.Kind >= keyKindEnd {
+			r.Fail("unknown key kind")
 		}
-		k.Value = r.u64()
-		k.Mask = r.u64()
-		k.PrefixLen = r.u32()
+		k.Value = r.U64()
+		k.Mask = r.U64()
+		k.PrefixLen = r.U32()
 		op.Keys = append(op.Keys, k)
 	}
-	na := int(r.u16())
-	if na > maxWireArgs {
-		r.fail("too many args")
-		na = 0
+	for i, na := 0, r.Count(maxWireArgs, "args"); i < na && r.Ok(); i++ {
+		op.Args = append(op.Args, r.U64())
 	}
-	for i := 0; i < na && r.err == nil; i++ {
-		op.Args = append(op.Args, r.u64())
+	op.Group = r.U64()
+	for i, np := 0, r.Count(maxWirePorts, "ports"); i < np && r.Ok(); i++ {
+		op.Ports = append(op.Ports, r.U64())
 	}
-	op.Group = r.u64()
-	np := int(r.u16())
-	if np > maxWirePorts {
-		r.fail("too many ports")
-		np = 0
-	}
-	for i := 0; i < np && r.err == nil; i++ {
-		op.Ports = append(op.Ports, r.u64())
-	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return op, nil
@@ -415,21 +231,35 @@ func DecodeCtrlOp(data []byte) (*CtrlOp, error) {
 // DecodeCtrlReply parses a reply message (same guarantees as
 // DecodeCtrlOp).
 func DecodeCtrlReply(data []byte) (*CtrlReply, error) {
-	r := &wireReader{buf: data}
-	if t := r.checkHeader(); r.err == nil && t != wireMsgReply {
-		r.fail("not a reply message")
+	r, h := kindCtrlReply.Open(data)
+	rep := &CtrlReply{Status: Status(h.Flag), Session: h.Session, Seq: h.Seq}
+	if rep.Status != StatusOK && rep.Status != StatusRejected {
+		r.Fail("unknown status")
 	}
-	rep := &CtrlReply{}
-	rep.Status = Status(r.u8())
-	if r.err == nil && rep.Status != StatusOK && rep.Status != StatusRejected {
-		r.fail("unknown status")
-	}
-	rep.Session = r.u64()
-	rep.Seq = r.u64()
-	rep.Class = r.str()
-	rep.Reason = r.str()
-	if err := r.finish(); err != nil {
+	rep.Class = r.Str(maxWireString)
+	rep.Reason = r.Str(maxWireString)
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// Encode implements wire.Request: it stamps the channel ids into the op.
+func (op *CtrlOp) Encode(session, seq uint64) []byte {
+	op.Session, op.Seq = session, seq
+	return EncodeCtrlOp(op)
+}
+
+// Label implements wire.Request.
+func (op *CtrlOp) Label() string { return op.Kind.String() + " " + op.Table }
+
+// Channel implements wire.Reply.
+func (r *CtrlReply) Channel() (session, seq uint64) { return r.Session, r.Seq }
+
+// Outcome implements wire.Reply.
+func (r *CtrlReply) Outcome() (event, detail string) {
+	if r.Status == StatusRejected {
+		return "rejected", ": " + r.Class + ": " + r.Reason
+	}
+	return "reply", " ok"
 }

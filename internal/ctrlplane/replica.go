@@ -9,10 +9,11 @@ import (
 	"microp4/internal/netsim"
 	"microp4/internal/sim"
 	"microp4/internal/trace"
+	"microp4/internal/wire"
 )
 
-// ReplicaConfig tunes one active↔standby replication channel. The same
-// config is handed to both ends (the Name differs per node).
+// ReplicaConfig wires one end of an active↔standby replication channel.
+// The same config is handed to both ends (the Name differs per node).
 type ReplicaConfig struct {
 	// Name is this node's name in the netsim network (labels events,
 	// derives the session id on the active side).
@@ -22,19 +23,6 @@ type ReplicaConfig struct {
 	SyncPort uint64
 	// Seed derives the replication session id (active side).
 	Seed uint64
-	// Interval is the virtual-tick spacing of replication rounds
-	// (default 16).
-	Interval uint64
-	// ResyncEvery makes every Nth round an anti-entropy full-table
-	// resync instead of an incremental update (default 8; 0 disables).
-	ResyncEvery uint64
-	// IdleRounds is how many workless rounds the replicator runs —
-	// still probing the standby — before quiescing its timer so a
-	// drained network can go quiet. Dataplane traffic re-arms it
-	// (default 3).
-	IdleRounds int
-	// Window bounds the standby's per-session dedup cache (default 128).
-	Window int
 	// Metrics records sync lag and malformed-frame rejects (optional).
 	Metrics *Metrics
 	// Tracer receives "flowsync" spans: rounds, ack lag, promotion
@@ -44,21 +32,18 @@ type ReplicaConfig struct {
 	Bus *sim.Bus
 }
 
-func (c ReplicaConfig) withDefaults() ReplicaConfig {
-	if c.Interval == 0 {
-		c.Interval = 16
-	}
-	if c.ResyncEvery == 0 {
-		c.ResyncEvery = 8
-	}
-	if c.IdleRounds <= 0 {
-		c.IdleRounds = 3
-	}
-	if c.Window <= 0 {
-		c.Window = 128
-	}
-	return c
-}
+// The replication schedule, in virtual ticks and rounds.
+const (
+	// syncInterval is the spacing of replication rounds.
+	syncInterval = 16
+	// resyncEvery makes every Nth round an anti-entropy full-table
+	// resync instead of an incremental update.
+	resyncEvery = 8
+	// idleRounds is how many workless rounds the replicator runs — still
+	// probing the standby — before quiescing its timer so a drained
+	// network can go quiet. Dataplane traffic re-arms it.
+	idleRounds = 3
+)
 
 // sentBatch is the bookkeeping for one in-flight FlowSync frame: which
 // keys it carried (to MarkSynced on ack) and when it left (ack lag).
@@ -103,12 +88,11 @@ type Replicator struct {
 // NewReplicator wraps the active switch. Call Start (or let the first
 // dataplane packet arm the timer) after wiring the network.
 func NewReplicator(n *netsim.Network, sw *microp4.Switch, cfg ReplicaConfig) *Replicator {
-	cfg = cfg.withDefaults()
 	return &Replicator{
 		n:        n,
 		sw:       sw,
 		cfg:      cfg,
-		session:  mix(cfg.Seed^hashName(cfg.Name)) | 1,
+		session:  wire.SessionID(cfg.Seed, cfg.Name),
 		inflight: make(map[uint64]sentBatch),
 	}
 }
@@ -123,7 +107,7 @@ func (r *Replicator) Switch() *microp4.Switch { return r.sw }
 // standby has been a live, fully programmed switch all along.
 func (r *Replicator) Bootstrap(standby *microp4.Switch) {
 	standby.Restore(r.sw.Checkpoint())
-	r.event("bootstrap", "control state copied to standby")
+	r.cfg.event("bootstrap", func() string { return "control state copied to standby" })
 }
 
 // Start arms the periodic sync timer.
@@ -184,11 +168,11 @@ func (r *Replicator) handleAck(pkt []byte) {
 		// Corruption or garbage: drop, count. The entries ride again
 		// next round.
 		r.cfg.Metrics.Reject(sim.RejectMalformed)
-		r.event("reject", "flow-ack: "+err.Error())
+		r.cfg.event("reject", func() string { return "flow-ack: " + err.Error() })
 		return
 	}
 	if ack.Session != r.session {
-		r.event("reject", fmt.Sprintf("flow-ack: foreign session %#x", ack.Session))
+		r.cfg.event("reject", func() string { return fmt.Sprintf("flow-ack: foreign session %#x", ack.Session) })
 		return
 	}
 	r.lastAck = r.n.Now()
@@ -214,7 +198,7 @@ func (r *Replicator) handleAck(pkt []byte) {
 
 func (r *Replicator) schedule() {
 	r.scheduled = true
-	r.cancel = r.n.AfterNamed("replicator "+r.cfg.Name, r.cfg.Interval, r.round)
+	r.cancel = r.n.AfterNamed("replicator "+r.cfg.Name, syncInterval, r.round)
 }
 
 // round runs one replication round: purge stale in-flight bookkeeping,
@@ -231,7 +215,7 @@ func (r *Replicator) round() {
 	prevRound := r.lastRoundAt
 	r.lastRoundAt = r.n.Now()
 	r.rounds++
-	resync := r.cfg.ResyncEvery > 0 && r.rounds%r.cfg.ResyncEvery == 0
+	resync := r.rounds%resyncEvery == 0
 	if resync {
 		r.resyncs++
 	}
@@ -247,10 +231,9 @@ func (r *Replicator) round() {
 	// Frames that never got acked within a few rounds are presumed
 	// lost; drop the bookkeeping (their entries are still unsynced and
 	// re-batch below). Sorted so the purge order is deterministic.
-	horizon := r.cfg.Interval * 4
 	var stale []uint64
 	for seq, b := range r.inflight {
-		if r.n.Now() > b.sentAt+horizon {
+		if r.n.Now() > b.sentAt+4*syncInterval {
 			stale = append(stale, seq)
 		}
 	}
@@ -290,8 +273,10 @@ func (r *Replicator) round() {
 			r.inflight[msg.Seq] = sentBatch{table: path, keys: keys, sentAt: r.n.Now()}
 			_ = r.n.SendFrom(r.cfg.Name, r.cfg.SyncPort, EncodeFlowSync(msg))
 			sent++
-			span.Event(r.n.Now(), "send", fmt.Sprintf("%s %s seq=%d entries=%d",
-				msg.Kind, path, msg.Seq, len(chunk)))
+			if span != nil {
+				span.Event(r.n.Now(), "send", fmt.Sprintf("%s %s seq=%d entries=%d",
+					msg.Kind, path, msg.Seq, len(chunk)))
+			}
 		}
 	}
 	if sent == 0 {
@@ -300,7 +285,9 @@ func (r *Replicator) round() {
 		probe := &FlowSync{Session: r.session, Seq: r.nextSeq(), Kind: SyncUpdate}
 		r.inflight[probe.Seq] = sentBatch{sentAt: r.n.Now()}
 		_ = r.n.SendFrom(r.cfg.Name, r.cfg.SyncPort, EncodeFlowSync(probe))
-		span.Event(r.n.Now(), "probe", fmt.Sprintf("seq=%d", probe.Seq))
+		if span != nil {
+			span.Event(r.n.Now(), "probe", fmt.Sprintf("seq=%d", probe.Seq))
+		}
 	}
 	if g := r.cfg.Metrics.FlowSyncLag(r.cfg.Name); g != nil {
 		g.Set(int64(lag))
@@ -314,7 +301,7 @@ func (r *Replicator) round() {
 	// Keep the timer hot while replication makes progress: data frames
 	// going out and acks coming back. Probe-only rounds, and rounds
 	// sending into a void (a partitioned or dead standby), count toward
-	// quiescing — after IdleRounds of either, the replicator parks.
+	// quiescing — after idleRounds of either, the replicator parks.
 	// This is the graceful-degradation half of the design: the active
 	// keeps serving, the unreplicated entries keep their unsynced mark,
 	// and the next dataplane packet re-arms the timer, so a healed
@@ -325,7 +312,7 @@ func (r *Replicator) round() {
 	} else {
 		r.idle++
 	}
-	if r.idle < r.cfg.IdleRounds {
+	if r.idle < idleRounds {
 		r.schedule()
 	}
 }
@@ -333,12 +320,6 @@ func (r *Replicator) round() {
 func (r *Replicator) nextSeq() uint64 {
 	r.seq++
 	return r.seq
-}
-
-func (r *Replicator) event(name, detail string) {
-	if r.cfg.Bus.Active() {
-		r.cfg.Bus.Publish(sim.TraceEvent{Kind: "flowsync", Module: r.cfg.Name, Name: name, Detail: detail})
-	}
 }
 
 // StandbyAgent is the passive side: a netsim.Processor wrapping the
@@ -355,7 +336,7 @@ type StandbyAgent struct {
 	sw  *microp4.Switch
 	cfg ReplicaConfig
 
-	sessions  map[uint64]*session
+	window    *wire.Window
 	lastHeard uint64 // network tick of the last valid sync frame
 	lastClock uint64 // active's flow clock from that frame
 	applied   uint64 // entries installed
@@ -365,8 +346,7 @@ type StandbyAgent struct {
 
 // NewStandbyAgent wraps the standby switch.
 func NewStandbyAgent(n *netsim.Network, sw *microp4.Switch, cfg ReplicaConfig) *StandbyAgent {
-	cfg = cfg.withDefaults()
-	return &StandbyAgent{n: n, sw: sw, cfg: cfg, sessions: make(map[uint64]*session)}
+	return &StandbyAgent{n: n, sw: sw, cfg: cfg, window: wire.NewWindow(wire.DedupWindow)}
 }
 
 // Switch returns the wrapped standby switch.
@@ -404,7 +384,7 @@ func (s *StandbyAgent) Promote() {
 		}
 	}
 	silent := s.SilentFor()
-	s.event("promote", fmt.Sprintf("adopted %d flows, active silent %d ticks", adopted, silent))
+	s.cfg.event("promote", func() string { return fmt.Sprintf("adopted %d flows, active silent %d ticks", adopted, silent) })
 	if s.cfg.Tracer != nil {
 		id := s.cfg.Tracer.NextID()
 		sp := &trace.Span{TraceID: id, SpanID: id, Kind: "flowsync", Name: "promote",
@@ -428,14 +408,13 @@ func (s *StandbyAgent) Process(pkt []byte, inPort uint64) ([]microp4.Output, err
 		// the last-heard clock, is untouched.
 		s.malformed++
 		s.cfg.Metrics.Reject(sim.RejectMalformed)
-		s.event("reject", "flow-sync: "+err.Error())
+		s.cfg.event("reject", func() string { return "flow-sync: " + err.Error() })
 		return nil, nil
 	}
-	sess := s.session(msg.Session)
-	if cached, ok := sess.replies[msg.Seq]; ok {
+	if cached, ok := s.window.Replay(msg.Session, msg.Seq); ok {
 		// Link-level duplicate: replay the cached ack, never re-count.
-		s.event("dup", fmt.Sprintf("session %#x seq %d", msg.Session, msg.Seq))
-		return []microp4.Output{{Port: s.cfg.SyncPort, Data: append([]byte(nil), cached...)}}, nil
+		s.cfg.event("dup", func() string { return fmt.Sprintf("session %#x seq %d", msg.Session, msg.Seq) })
+		return []microp4.Output{{Port: s.cfg.SyncPort, Data: cached}}, nil
 	}
 	applied := 0
 	if msg.Table != "" {
@@ -444,7 +423,7 @@ func (s *StandbyAgent) Process(pkt []byte, inPort uint64) ([]microp4.Output, err
 			// A valid frame for a table this dataplane does not have:
 			// program mismatch. Acking would make the active mark the
 			// entries synced when nothing holds them, so drop instead.
-			s.event("reject", "flow-sync: unknown table "+msg.Table)
+			s.cfg.event("reject", func() string { return "flow-sync: unknown table " + msg.Table })
 			return nil, nil
 		}
 		for _, rec := range msg.Entries {
@@ -456,22 +435,15 @@ func (s *StandbyAgent) Process(pkt []byte, inPort uint64) ([]microp4.Output, err
 	s.lastHeard = s.n.Now()
 	s.lastClock = msg.Clock
 	ack := EncodeFlowAck(&FlowAck{Session: msg.Session, Seq: msg.Seq, Applied: uint64(applied)})
-	sess.remember(msg.Seq, ack, s.cfg.Window)
-	s.event("apply", fmt.Sprintf("%s %s seq=%d entries=%d", msg.Kind, msg.Table, msg.Seq, applied))
+	s.window.Remember(msg.Session, msg.Seq, ack)
+	s.cfg.event("apply", func() string { return fmt.Sprintf("%s %s seq=%d entries=%d", msg.Kind, msg.Table, msg.Seq, applied) })
 	return []microp4.Output{{Port: s.cfg.SyncPort, Data: ack}}, nil
 }
 
-func (s *StandbyAgent) session(id uint64) *session {
-	sess := s.sessions[id]
-	if sess == nil {
-		sess = &session{replies: make(map[uint64][]byte)}
-		s.sessions[id] = sess
-	}
-	return sess
-}
-
-func (s *StandbyAgent) event(name, detail string) {
-	if s.cfg.Bus.Active() {
-		s.cfg.Bus.Publish(sim.TraceEvent{Kind: "flowsync", Module: s.cfg.Name, Name: name, Detail: detail})
+// event publishes a "flowsync" trace event under the node's name;
+// detail runs only when a subscriber will read it.
+func (c *ReplicaConfig) event(name string, detail func() string) {
+	if c.Bus.Active() {
+		c.Bus.Publish(sim.TraceEvent{Kind: "flowsync", Module: c.Name, Name: name, Detail: detail()})
 	}
 }

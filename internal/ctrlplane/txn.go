@@ -3,8 +3,10 @@ package ctrlplane
 import (
 	"fmt"
 
+	"microp4/internal/obs"
 	"microp4/internal/sim"
 	"microp4/internal/trace"
+	"microp4/internal/wire"
 )
 
 // TxnOp is one operation of a transaction plan: an op (OpAddEntry,
@@ -60,7 +62,6 @@ func (c *Client) Transaction(ops []TxnOp, done func(TxnResult)) error {
 	t := &txnCoord{
 		c:    c,
 		id:   c.nextTxn,
-		ops:  ops,
 		errs: make(map[string]error),
 		done: done,
 	}
@@ -77,7 +78,7 @@ func (c *Client) Transaction(ops []TxnOp, done func(TxnResult)) error {
 	// for every later phase.
 	seen := make(map[string]bool)
 	for _, op := range ops {
-		if c.peers[op.Peer] == nil {
+		if !c.calls.HasPeer(op.Peer) {
 			return fmt.Errorf("ctrlplane: txn references unknown peer %q", op.Peer)
 		}
 		if !seen[op.Peer] {
@@ -86,36 +87,42 @@ func (c *Client) Transaction(ops []TxnOp, done func(TxnResult)) error {
 		}
 	}
 	if len(ops) == 0 {
-		t.finish("committed", "empty transaction")
-		done(TxnResult{Txn: t.id, Committed: true, PeerErrs: t.errs})
+		t.finish(true, func() string { return "empty transaction" })
 		return nil
 	}
-	c.event("txn-stage", fmt.Sprintf("txn %d: %d ops across %d peers", t.id, len(ops), len(t.peers)))
-	t.stage()
+	c.calls.Event(nil, "txn-stage", func() string { return fmt.Sprintf("txn %d: %d ops across %d peers", t.id, len(ops), len(t.peers)) })
+	// Stage: every op goes out with the transaction tag; agents validate
+	// and buffer them. All ops are pipelined at once — ordering is
+	// recovered agent-side by client sequence number at prepare.
+	targets := make([]string, len(ops))
+	for i, op := range ops {
+		targets[i] = op.Peer
+	}
+	c.calls.Fanout(targets, t.phase("stage"), func(i int) wire.Request {
+		wireOp := ops[i].Op
+		wireOp.Txn = t.id
+		return &wireOp
+	}, func(i int, rep *CtrlReply, err error) { t.vote(targets[i], rep, err) },
+		func() { t.advance(t.prepare) })
 	return nil
 }
 
 // txnCoord is the coordinator state machine for one transaction.
 type txnCoord struct {
-	c       *Client
-	id      uint64
-	ops     []TxnOp
-	peers   []string // participants, first-appearance order
-	pending int
-	doomed  bool
-	errs    map[string]error
-	done    func(TxnResult)
-	root    *trace.Span // the transaction's trace root (nil when untraced)
+	c     *Client
+	id    uint64
+	peers []string // participants, first-appearance order
+	errs  map[string]error
+	done  func(TxnResult)
+	root  *trace.Span // the transaction's trace root (nil when untraced)
 }
 
-// startPhase opens a 2PC phase span under the transaction root and
-// points the client's current-span at it, so every Do the caller issues
-// next reports its send/retry/timeout/breaker lifecycle to this phase.
-// The caller must clear c.curSpan (endPhase) once its sends are issued;
-// late events still reach the span through the calls that captured it.
-func (t *txnCoord) startPhase(name string) {
+// phase opens a 2PC phase span under the transaction root; every call
+// the phase fans out reports its send/retry/timeout/breaker lifecycle
+// to it. Nil when the transaction is untraced.
+func (t *txnCoord) phase(name string) *trace.Span {
 	if t.root == nil {
-		return
+		return nil
 	}
 	now := t.c.n.Now()
 	sp := &trace.Span{
@@ -123,117 +130,49 @@ func (t *txnCoord) startPhase(name string) {
 		Kind: "txn", Name: name, Start: now, End: now,
 	}
 	t.c.tracer.Record(sp)
-	t.c.curSpan = sp
+	return sp
 }
 
-// endPhase stops attributing new Do calls to the current phase span.
-func (t *txnCoord) endPhase() {
-	if t.root != nil {
-		t.c.curSpan = nil
-	}
+// toPeers fans one control op of this transaction out to every
+// participant as the named phase; each sees every resolution, then
+// runs once all are in.
+func (t *txnCoord) toPeers(name string, kind OpKind, each func(peer string, rep *CtrlReply, err error), then func()) {
+	t.c.calls.Fanout(t.peers, t.phase(name),
+		func(int) wire.Request { return &CtrlOp{Kind: kind, Txn: t.id} },
+		func(i int, rep *CtrlReply, err error) { each(t.peers[i], rep, err) }, then)
 }
 
-// finish closes the root span with the transaction's outcome.
-func (t *txnCoord) finish(outcome, detail string) {
-	if t.root == nil {
-		return
+// vote records one peer's answer: an unreachable peer or a rejection
+// (first error per peer wins) dooms the transaction.
+func (t *txnCoord) vote(peer string, rep *CtrlReply, err error) {
+	if err == nil && rep.Status == StatusRejected {
+		err = &sim.ControlError{Op: "txn", Kind: rep.Class, Reason: rep.Reason}
 	}
-	now := t.c.n.Now()
-	t.root.Event(now, outcome, detail)
-	t.root.End = now
-	if outcome == "aborted" {
-		t.root.Err = detail
-	}
-}
-
-// fail records a peer failure (first error per peer wins) and dooms
-// the transaction.
-func (t *txnCoord) fail(peer string, err error) {
-	t.doomed = true
-	if _, dup := t.errs[peer]; !dup {
+	if _, dup := t.errs[peer]; err != nil && !dup {
 		t.errs[peer] = err
 	}
 }
 
-// stage sends every op with the transaction tag; agents validate and
-// buffer them. All ops are pipelined at once — ordering is recovered
-// agent-side by client sequence number at prepare.
-func (t *txnCoord) stage() {
-	t.startPhase("stage")
-	defer t.endPhase()
-	t.pending = len(t.ops)
-	for _, op := range t.ops {
-		peerName := op.Peer
-		wire := op.Op
-		wire.Txn = t.id
-		_ = t.c.Do(peerName, wire, func(rep *CtrlReply, err error) {
-			if err != nil {
-				t.fail(peerName, err)
-			} else if rep.Status == StatusRejected {
-				t.fail(peerName, replyError(rep))
-			}
-			t.pending--
-			if t.pending == 0 {
-				if t.doomed {
-					t.abort()
-				} else {
-					t.prepare()
-				}
-			}
-		})
+// advance moves a fully answered phase on: to next when every vote was
+// clean, to abort otherwise.
+func (t *txnCoord) advance(next func()) {
+	if len(t.errs) > 0 {
+		next = t.abort
 	}
+	next()
 }
 
 // prepare asks every participant to checkpoint and apply its batch.
 func (t *txnCoord) prepare() {
-	t.c.event("txn-prepare", fmt.Sprintf("txn %d", t.id))
-	t.startPhase("prepare")
-	defer t.endPhase()
-	t.pending = len(t.peers)
-	for _, peerName := range t.peers {
-		peerName := peerName
-		_ = t.c.Do(peerName, CtrlOp{Kind: OpPrepare, Txn: t.id}, func(rep *CtrlReply, err error) {
-			if err != nil {
-				t.fail(peerName, err)
-			} else if rep.Status == StatusRejected {
-				t.fail(peerName, replyError(rep))
-			}
-			t.pending--
-			if t.pending == 0 {
-				if t.doomed {
-					t.abort()
-				} else {
-					t.commit()
-				}
-			}
-		})
-	}
+	t.c.calls.Event(nil, "txn-prepare", func() string { return fmt.Sprintf("txn %d", t.id) })
+	t.toPeers("prepare", OpPrepare, t.vote, func() { t.advance(t.commit) })
 }
 
 // commit finalizes on every participant. A peer unreachable here is in
 // doubt: it has prepared and its agent will hold the applied state; the
 // result says so rather than pretending otherwise.
 func (t *txnCoord) commit() {
-	t.startPhase("commit")
-	defer t.endPhase()
-	t.pending = len(t.peers)
-	for _, peerName := range t.peers {
-		peerName := peerName
-		_ = t.c.Do(peerName, CtrlOp{Kind: OpCommit, Txn: t.id}, func(rep *CtrlReply, err error) {
-			if err != nil {
-				t.fail(peerName, err)
-			} else if rep.Status == StatusRejected {
-				t.fail(peerName, replyError(rep))
-			}
-			t.pending--
-			if t.pending == 0 {
-				t.c.cfg.Metrics.TxnCommits.Inc()
-				t.c.event("txn-commit", fmt.Sprintf("txn %d (%d peer errors)", t.id, len(t.errs)))
-				t.finish("committed", fmt.Sprintf("%d peer errors", len(t.errs)))
-				t.done(TxnResult{Txn: t.id, Committed: true, PeerErrs: t.errs})
-			}
-		})
-	}
+	t.toPeers("commit", OpCommit, t.vote, func() { t.settle(true, "txn-commit", t.c.metrics.TxnCommits) })
 }
 
 // abort rolls back every participant (restore checkpoint, discard
@@ -243,27 +182,34 @@ func (t *txnCoord) commit() {
 // hold prepared state when its prepare reply (rather than the prepare
 // itself) was what kept getting lost.
 func (t *txnCoord) abort() {
-	t.startPhase("abort")
-	defer t.endPhase()
-	t.pending = len(t.peers)
-	for _, peerName := range t.peers {
-		peerName := peerName
-		_ = t.c.Do(peerName, CtrlOp{Kind: OpAbort, Txn: t.id}, func(rep *CtrlReply, err error) {
-			if err != nil {
-				t.fail(peerName, err)
-			}
-			t.pending--
-			if t.pending == 0 {
-				t.c.cfg.Metrics.TxnAborts.Inc()
-				t.c.event("txn-abort", fmt.Sprintf("txn %d (%d peer errors)", t.id, len(t.errs)))
-				t.finish("aborted", fmt.Sprintf("%d peer errors", len(t.errs)))
-				t.done(TxnResult{Txn: t.id, Committed: false, PeerErrs: t.errs})
-			}
-		})
-	}
+	t.toPeers("abort", OpAbort, func(peer string, _ *CtrlReply, err error) {
+		if err != nil {
+			t.vote(peer, nil, err)
+		}
+	}, func() { t.settle(false, "txn-abort", t.c.metrics.TxnAborts) })
 }
 
-// replyError converts a rejection reply into a *sim.ControlError.
-func replyError(rep *CtrlReply) error {
-	return &sim.ControlError{Op: "txn", Kind: rep.Class, Reason: rep.Reason}
+// settle ends a transaction whose last phase is fully answered: count
+// it, publish the outcome event, finish.
+func (t *txnCoord) settle(committed bool, event string, count *obs.Counter) {
+	count.Inc()
+	detail := func() string { return fmt.Sprintf("%d peer errors", len(t.errs)) }
+	t.c.calls.Event(nil, event, func() string { return fmt.Sprintf("txn %d (%s)", t.id, detail()) })
+	t.finish(committed, detail)
+}
+
+// finish closes the root span with the outcome and hands the result to
+// the transaction's caller.
+func (t *txnCoord) finish(committed bool, detail func() string) {
+	if t.root != nil {
+		now := t.c.n.Now()
+		t.root.End = now
+		if committed {
+			t.root.Event(now, "committed", detail())
+		} else {
+			t.root.Err = detail()
+			t.root.Event(now, "aborted", t.root.Err)
+		}
+	}
+	t.done(TxnResult{Txn: t.id, Committed: committed, PeerErrs: t.errs})
 }

@@ -43,20 +43,6 @@ func Frame(t testing.TB, key string, frame []byte) {
 	check(t, "frames.golden", key, hex.EncodeToString(frame))
 }
 
-// Frames returns every recorded frame, keyed as Frame recorded it.
-func Frames(t testing.TB) map[string][]byte {
-	t.Helper()
-	out := map[string][]byte{}
-	for key, val := range load(t, "frames.golden") {
-		b, err := hex.DecodeString(val)
-		if err != nil {
-			t.Fatalf("frames.golden: %s: %v", key, err)
-		}
-		out[key] = b
-	}
-	return out
-}
-
 func load(t testing.TB, file string) map[string]string {
 	t.Helper()
 	recs := map[string]string{}

@@ -6,6 +6,7 @@ import (
 	"microp4"
 	"microp4/internal/netsim"
 	"microp4/internal/sim"
+	"microp4/internal/wire"
 )
 
 // AgentConfig wires an upgrade agent into a node.
@@ -36,36 +37,30 @@ type Agent struct {
 	u     *Upgrader
 	bus   *sim.Bus
 
-	sessions map[uint64]*agentSession
-}
-
-// dedupWindow bounds the cached replies kept per session.
-const dedupWindow = 128
-
-type agentSession struct {
-	replies map[uint64][]byte
-	maxSeq  uint64
+	window *wire.Window
 }
 
 // NewAgent builds the upgrade agent for one switch.
 func NewAgent(name string, sw *microp4.Switch, cfg AgentConfig) *Agent {
 	return &Agent{
-		name:     name,
-		sw:       sw,
-		inner:    cfg.Inner,
-		port:     cfg.UpgradePort,
-		u:        NewUpgrader(name, sw, cfg.Upgrader),
-		bus:      cfg.Upgrader.Bus,
-		sessions: make(map[uint64]*agentSession),
+		name:   name,
+		sw:     sw,
+		inner:  cfg.Inner,
+		port:   cfg.UpgradePort,
+		u:      NewUpgrader(name, sw, cfg.Upgrader),
+		bus:    cfg.Upgrader.Bus,
+		window: wire.NewWindow(wire.DedupWindow),
 	}
 }
 
 // Upgrader exposes the state machine (tests and local drivers).
 func (a *Agent) Upgrader() *Upgrader { return a.u }
 
-func (a *Agent) event(name, detail string) {
-	if a.bus != nil && a.bus.Active() {
-		a.bus.Publish(sim.TraceEvent{Kind: "issu", Module: a.name, Name: name, Detail: detail})
+// event publishes an "issu" trace event; detail runs only when a
+// subscriber will read it.
+func (a *Agent) event(name string, detail func() string) {
+	if a.bus.Active() {
+		a.bus.Publish(sim.TraceEvent{Kind: "issu", Module: a.name, Name: name, Detail: detail()})
 	}
 }
 
@@ -84,27 +79,15 @@ func (a *Agent) Process(pkt []byte, inPort uint64) ([]microp4.Output, error) {
 	}
 	op, derr := DecodeUpgradeOp(pkt)
 	if derr != nil {
-		a.event("drop", "undecodable upgrade op: "+derr.Error())
+		a.event("drop", func() string { return "undecodable upgrade op: " + derr.Error() })
 		return nil, nil
 	}
-	sess := a.sessions[op.Session]
-	if sess == nil {
-		sess = &agentSession{replies: make(map[uint64][]byte)}
-		a.sessions[op.Session] = sess
-	}
-	if cached, ok := sess.replies[op.Seq]; ok {
-		a.event("replay", fmt.Sprintf("seq %d (duplicate)", op.Seq))
+	if cached, ok := a.window.Replay(op.Session, op.Seq); ok {
+		a.event("replay", func() string { return fmt.Sprintf("seq %d (duplicate)", op.Seq) })
 		return []microp4.Output{{Port: a.port, Data: cached}}, nil
 	}
-	rep := a.apply(op)
-	data := EncodeUpgradeReply(rep)
-	sess.replies[op.Seq] = data
-	if op.Seq > sess.maxSeq {
-		sess.maxSeq = op.Seq
-	}
-	if old := sess.maxSeq - dedupWindow; sess.maxSeq > dedupWindow {
-		delete(sess.replies, old)
-	}
+	data := EncodeUpgradeReply(a.apply(op))
+	a.window.Remember(op.Session, op.Seq, data)
 	return []microp4.Output{{Port: a.port, Data: data}}, nil
 }
 

@@ -2,58 +2,38 @@ package issu
 
 import (
 	"fmt"
-	"math/rand"
 
-	"microp4"
 	"microp4/internal/netsim"
 	"microp4/internal/sim"
 	"microp4/internal/trace"
+	"microp4/internal/wire"
 )
 
-// CoordinatorConfig tunes the upgrade coordinator. Zero fields take the
-// defaults. All durations are virtual ticks.
+// CoordinatorConfig wires the upgrade coordinator. Reply timeout, retry
+// backoff and circuit breaker are the messaging substrate's one policy
+// (internal/wire).
 type CoordinatorConfig struct {
 	// Seed drives the retry-jitter stream and session-id derivation;
 	// with the same network and seed every upgrade replays tick for
 	// tick.
 	Seed uint64
-	// Timeout is how long to await a reply before retrying (default 64).
-	Timeout uint64
-	// MaxAttempts bounds the sends per request (default 8); exhausting
-	// them marks the peer unreachable and aborts the upgrade.
-	MaxAttempts int
 	// CanaryN is the per-switch mirror budget (default 64 packets).
 	CanaryN uint64
-	// CanaryTimeout bounds the canary phase: if any canary has not
-	// completed this many ticks after starting, the upgrade aborts
-	// (default 4096).
-	CanaryTimeout uint64
-	// PollEvery is the canary progress query cadence (default 32).
-	PollEvery uint64
 	// Metrics counts per-node transitions (shared with the agents).
 	Metrics *Metrics
 	// Tracer records a root "issu" coordination span per upgrade.
 	Tracer *trace.Recorder
 }
 
-func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.Timeout == 0 {
-		c.Timeout = 64
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.CanaryN == 0 {
-		c.CanaryN = 64
-	}
-	if c.CanaryTimeout == 0 {
-		c.CanaryTimeout = 4096
-	}
-	if c.PollEvery == 0 {
-		c.PollEvery = 32
-	}
-	return c
-}
+// The canary schedule, in virtual ticks.
+const (
+	defaultCanaryN = 64
+	// canaryTimeout bounds the canary phase: if any canary has not
+	// completed this long after starting, the upgrade aborts.
+	canaryTimeout = 4096
+	// pollEvery is the canary progress query cadence.
+	pollEvery = 32
+)
 
 // Coordinator drives one in-service upgrade across a set of switches
 // with two-phase-commit semantics over the lossy control network:
@@ -67,89 +47,41 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // single-threaded with the network's run loop: call Upgrade, then run
 // the network; the done callback fires inside Run.
 type Coordinator struct {
-	n    *netsim.Network
-	name string
-	cfg  CoordinatorConfig
-	rng  *rand.Rand
-
-	peers  []*cpeer
-	byPort map[uint64]*cpeer
-
-	run *upgradeRun // the in-flight upgrade (one at a time)
-}
-
-type cpeer struct {
-	name     string
-	port     uint64
-	session  uint64
-	nextSeq  uint64
-	inflight map[uint64]*ucall
-	phase    Phase // last phase the peer reported
-}
-
-type ucall struct {
-	p        *cpeer
-	data     []byte
-	seq      uint64
-	kind     OpKind
-	attempts int
-	cancel   func()
-	resolved bool
-	done     func(*UpgradeReply, error)
+	n     *netsim.Network
+	name  string
+	cfg   CoordinatorConfig
+	calls *wire.Caller[*UpgradeReply]
+	run   *upgradeRun // the in-flight upgrade (one at a time)
 }
 
 type upgradeRun struct {
 	program     string
-	main        Module
-	modules     []Module
 	done        func(error)
-	state       string // "stage", "canary", "poll", "commit", "abort"
-	pending     int    // replies awaited in the current phase
 	aborting    bool
 	finished    bool
 	canaryStart uint64
-	cancelPoll  func()
 	span        *trace.Span
 }
 
 // NewCoordinator creates the coordinator node named name in the
 // network.
 func NewCoordinator(n *netsim.Network, name string, cfg CoordinatorConfig) (*Coordinator, error) {
-	c := &Coordinator{
-		n:      n,
-		name:   name,
-		cfg:    cfg.withDefaults(),
-		byPort: make(map[uint64]*cpeer),
+	if cfg.CanaryN == 0 {
+		cfg.CanaryN = defaultCanaryN
 	}
-	c.rng = rand.New(rand.NewSource(int64(mix(c.cfg.Seed ^ 0x155D0C0DE))))
-	if err := n.AddSwitch(name, c); err != nil {
+	calls, err := wire.NewCaller(n, name, wire.CallerConfig[*UpgradeReply]{
+		Kind: "issu", Seed: cfg.Seed, Decode: DecodeUpgradeReply})
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &Coordinator{n: n, name: name, cfg: cfg, calls: calls}, nil
 }
 
 // AddPeer declares an upgrade channel: ops to peerName leave the
 // coordinator on localPort (Connect that port to the agent's upgrade
 // port). Session ids derive from the seed and peer name.
 func (c *Coordinator) AddPeer(peerName string, localPort uint64) error {
-	for _, p := range c.peers {
-		if p.name == peerName {
-			return fmt.Errorf("issu: duplicate peer %q", peerName)
-		}
-	}
-	if c.byPort[localPort] != nil {
-		return fmt.Errorf("issu: port %d already carries peer %q", localPort, c.byPort[localPort].name)
-	}
-	p := &cpeer{
-		name:     peerName,
-		port:     localPort,
-		session:  mix(c.cfg.Seed^hashName(peerName)^0x0B5E55ED) | 1,
-		nextSeq:  1,
-		inflight: make(map[uint64]*ucall),
-	}
-	c.peers = append(c.peers, p)
-	c.byPort[localPort] = p
-	return nil
+	return c.calls.AddPeer(peerName, localPort)
 }
 
 // Upgrade starts driving program (main + modules) onto every peer. The
@@ -160,13 +92,13 @@ func (c *Coordinator) Upgrade(program string, main Module, modules []Module, don
 	if c.run != nil && !c.run.finished {
 		return &sim.UpgradeError{Phase: "coordinate", Reason: "an upgrade is already in flight"}
 	}
-	if len(c.peers) == 0 {
+	if len(c.calls.Peers()) == 0 {
 		return &sim.UpgradeError{Phase: "coordinate", Reason: "no peers"}
 	}
 	if done == nil {
 		done = func(error) {}
 	}
-	r := &upgradeRun{program: program, main: main, modules: modules, done: done}
+	r := &upgradeRun{program: program, done: done}
 	if rec := c.cfg.Tracer; rec != nil {
 		id := rec.NextID()
 		r.span = &trace.Span{TraceID: id, SpanID: id, Kind: "issu", Name: "coordinate",
@@ -174,198 +106,118 @@ func (c *Coordinator) Upgrade(program string, main Module, modules []Module, don
 		r.span.Event(c.n.Now(), "program", program)
 	}
 	c.run = r
-	c.stagePhase()
+	c.calls.Event(r.span, "stage", func() string { return fmt.Sprintf("%s to %d peers", program, len(c.calls.Peers())) })
+	c.toPeers("stage", func() *UpgradeOp {
+		return &UpgradeOp{Kind: OpStage, Program: program, Main: main, Modules: modules}
+	}, nil, c.canaryPhase)
 	return nil
-}
-
-func (c *Coordinator) event(name, detail string) {
-	if bus := c.n.Bus(); bus.Active() {
-		bus.Publish(sim.TraceEvent{Kind: "issu", Module: c.name, Name: name, Detail: detail})
-	}
-	if r := c.run; r != nil && r.span != nil {
-		r.span.Event(c.n.Now(), name, detail)
-		r.span.End = c.n.Now()
-	}
 }
 
 // ----------------------------------------------------------------------------
 // Phases
 
-func (c *Coordinator) stagePhase() {
+// toPeers is one phase: mk's op goes to every peer, each inspects every
+// healthy reply, and next runs once all are in. A refusal, a peer-side
+// rollback or an unreachable peer aborts the whole upgrade instead.
+func (c *Coordinator) toPeers(phase string, mk func() *UpgradeOp, each func(*UpgradeReply), next func()) {
 	r := c.run
-	r.state = "stage"
-	r.pending = len(c.peers)
-	c.event("stage", fmt.Sprintf("%s to %d peers", r.program, len(c.peers)))
-	for _, p := range c.peers {
-		op := &UpgradeOp{Kind: OpStage, Program: r.program, Main: r.main, Modules: r.modules}
-		c.send(p, op, func(rep *UpgradeReply, err error) {
-			if c.phaseFailed(rep, err, "stage") {
-				return
+	c.calls.Fanout(c.calls.Peers(), r.span,
+		func(int) wire.Request { return mk() },
+		func(_ int, rep *UpgradeReply, err error) {
+			if !c.phaseFailed(rep, err, phase) && each != nil {
+				each(rep)
 			}
-			r.pending--
-			if r.pending == 0 {
-				c.canaryPhase()
+		},
+		func() {
+			if !r.aborting { // the last reply in may be the one that aborted
+				next()
 			}
 		})
-	}
 }
 
 func (c *Coordinator) canaryPhase() {
-	r := c.run
-	r.state = "canary"
-	r.pending = len(c.peers)
-	c.event("canary", fmt.Sprintf("budget %d packets per peer", c.cfg.CanaryN))
-	for _, p := range c.peers {
-		op := &UpgradeOp{Kind: OpCanary, CanaryN: c.cfg.CanaryN}
-		c.send(p, op, func(rep *UpgradeReply, err error) {
-			if c.phaseFailed(rep, err, "canary") {
-				return
-			}
-			r.pending--
-			if r.pending == 0 {
-				r.canaryStart = c.n.Now()
-				c.schedulePoll()
-			}
+	c.calls.Event(c.run.span, "canary", func() string { return fmt.Sprintf("budget %d packets per peer", c.cfg.CanaryN) })
+	c.toPeers("canary", func() *UpgradeOp { return &UpgradeOp{Kind: OpCanary, CanaryN: c.cfg.CanaryN} },
+		nil, func() {
+			c.run.canaryStart = c.n.Now()
+			c.schedulePoll()
 		})
-	}
 }
 
+// schedulePoll and pollPhase are the phase that repeats: query every
+// peer's canary until all have spent their budget cleanly. No call is
+// in flight while the poll timer is pending, so nothing can abort or
+// finish the run under it.
 func (c *Coordinator) schedulePoll() {
-	r := c.run
-	r.state = "poll"
-	r.cancelPoll = c.n.AfterNamed(c.name+" canary-poll", c.cfg.PollEvery, c.pollPhase)
+	c.n.AfterNamed(c.name+" canary-poll", pollEvery, c.pollPhase)
 }
 
 func (c *Coordinator) pollPhase() {
 	r := c.run
-	if r == nil || r.finished || r.aborting {
+	if waited := c.n.Now() - r.canaryStart; waited > canaryTimeout {
+		c.abortAll(&sim.UpgradeError{Phase: "canary", Reason: fmt.Sprintf("canary timeout after %d ticks", waited)})
 		return
 	}
-	if c.n.Now()-r.canaryStart > c.cfg.CanaryTimeout {
-		c.abortAll(&sim.UpgradeError{Phase: "canary",
-			Reason: fmt.Sprintf("canary timeout after %d ticks", c.n.Now()-r.canaryStart)})
-		return
-	}
-	r.pending = len(c.peers)
 	complete := true
-	for _, p := range c.peers {
-		p := p
-		c.send(p, &UpgradeOp{Kind: OpQuery}, func(rep *UpgradeReply, err error) {
-			if c.phaseFailed(rep, err, "canary") {
-				return
-			}
-			p.phase = rep.Phase
+	c.toPeers("canary", func() *UpgradeOp { return &UpgradeOp{Kind: OpQuery} },
+		func(rep *UpgradeReply) {
 			if rep.Remaining > 0 || rep.Mirrored == 0 || rep.Phase != PhaseCanary {
 				complete = false
 			}
-			r.pending--
-			if r.pending > 0 {
-				return
-			}
+		}, func() {
 			if complete {
 				c.commitPhase()
 			} else {
 				c.schedulePoll()
 			}
 		})
-	}
 }
 
 func (c *Coordinator) commitPhase() {
-	r := c.run
-	r.state = "commit"
-	r.pending = len(c.peers)
-	c.event("commit", "all canaries clean")
-	for _, p := range c.peers {
-		c.send(p, &UpgradeOp{Kind: OpCommit}, func(rep *UpgradeReply, err error) {
-			if c.phaseFailed(rep, err, "commit") {
-				return
-			}
-			r.pending--
-			if r.pending == 0 {
-				c.finish(nil)
-			}
-		})
-	}
+	c.calls.Event(c.run.span, "commit", func() string { return "all canaries clean" })
+	c.toPeers("commit", func() *UpgradeOp { return &UpgradeOp{Kind: OpCommit} }, nil,
+		func() { c.finish(nil) })
 }
 
 // phaseFailed inspects one reply; a refusal, a peer-side rollback, or
 // an unreachable peer aborts the whole upgrade. Returns true when the
 // run is no longer advancing through the current phase.
 func (c *Coordinator) phaseFailed(rep *UpgradeReply, err error, phase string) bool {
-	r := c.run
-	if r == nil || r.finished || r.aborting {
-		return true
+	if err == nil && rep.Ok && rep.Phase != PhaseRolledBack && !rep.Diverged {
+		return false
 	}
+	cause := &sim.UpgradeError{Phase: phase}
 	if err != nil {
-		c.abortAll(&sim.UpgradeError{Phase: phase, Reason: err.Error()})
-		return true
+		cause.Reason = err.Error()
+	} else if cause.Gen, cause.Reason = rep.Gen, rep.Detail; cause.Reason == "" {
+		cause.Reason = "peer rolled back"
 	}
-	if rep.Phase == PhaseRolledBack || rep.Diverged {
-		reason := rep.Detail
-		if reason == "" {
-			reason = "peer rolled back"
-		}
-		c.abortAll(&sim.UpgradeError{Phase: phase, Gen: rep.Gen, Reason: reason})
-		return true
-	}
-	if !rep.Ok {
-		c.abortAll(&sim.UpgradeError{Phase: phase, Gen: rep.Gen, Reason: rep.Detail})
-		return true
-	}
-	return false
+	c.abortAll(cause)
+	return true
 }
 
-// abortAll rolls every peer back and finishes the run with cause.
+// abortAll rolls every peer back and finishes the run with cause. It
+// runs at most once per upgrade: cancelling the failed phase's
+// in-flight calls leaves nothing that could fail a second time.
 func (c *Coordinator) abortAll(cause *sim.UpgradeError) {
 	r := c.run
-	if r == nil || r.finished || r.aborting {
-		return
-	}
 	r.aborting = true
-	r.state = "abort"
-	if r.cancelPoll != nil {
-		r.cancelPoll()
-		r.cancelPoll = nil
-	}
-	c.event("abort", cause.Error())
-	// Cancel the in-flight calls of the failed phase; their replies are
-	// moot now.
-	for _, p := range c.peers {
-		for _, cl := range p.inflight {
-			cl.resolved = true
-			if cl.cancel != nil {
-				cl.cancel()
-			}
-		}
-		p.inflight = make(map[uint64]*ucall)
-	}
-	r.pending = len(c.peers)
-	for _, p := range c.peers {
-		c.send(p, &UpgradeOp{Kind: OpAbort}, func(rep *UpgradeReply, err error) {
-			// Best effort: an unreachable peer (e.g. a killed active
-			// switch) cannot be rolled back from here — its replacement
-			// never saw the staged generation anyway.
-			r.pending--
-			if r.pending == 0 {
-				c.finish(cause)
-			}
-		})
-	}
+	c.calls.Event(r.span, "abort", cause.Error)
+	c.calls.CancelAll()
+	c.calls.Fanout(c.calls.Peers(), r.span,
+		func(int) wire.Request { return &UpgradeOp{Kind: OpAbort} },
+		// Best effort: an unreachable peer (e.g. a killed active switch)
+		// cannot be rolled back from here — its replacement never saw
+		// the staged generation anyway.
+		func(int, *UpgradeReply, error) {},
+		func() { c.finish(cause) })
 }
 
 func (c *Coordinator) finish(err error) {
 	r := c.run
-	if r == nil || r.finished {
-		return
-	}
 	r.finished = true
-	if r.cancelPoll != nil {
-		r.cancelPoll()
-		r.cancelPoll = nil
-	}
 	if err == nil {
-		c.event("committed", r.program)
+		c.calls.Event(r.span, "committed", func() string { return r.program })
 	}
 	if rec := c.cfg.Tracer; rec != nil && r.span != nil {
 		outcome := "committed"
@@ -377,95 +229,4 @@ func (c *Coordinator) finish(err error) {
 		rec.Record(r.span)
 	}
 	r.done(err)
-}
-
-// ----------------------------------------------------------------------------
-// Reliable send (timeout, capped seeded backoff, at-least-once)
-
-func (c *Coordinator) send(p *cpeer, op *UpgradeOp, done func(*UpgradeReply, error)) {
-	op.Session = p.session
-	op.Seq = p.nextSeq
-	p.nextSeq++
-	cl := &ucall{p: p, data: EncodeUpgradeOp(op), seq: op.Seq, kind: op.Kind, done: done}
-	p.inflight[op.Seq] = cl
-	c.transmit(cl)
-}
-
-func (c *Coordinator) transmit(cl *ucall) {
-	if cl.resolved {
-		return
-	}
-	cl.attempts++
-	_ = c.n.SendFrom(c.name, cl.p.port, cl.data)
-	cl.cancel = c.n.AfterNamed(c.name+" await "+cl.p.name, c.cfg.Timeout, func() { c.onTimeout(cl) })
-}
-
-func (c *Coordinator) onTimeout(cl *ucall) {
-	if cl.resolved {
-		return
-	}
-	if cl.attempts >= c.cfg.MaxAttempts {
-		c.resolve(cl, nil, fmt.Errorf("%s unreachable: %d attempts at %s timed out",
-			cl.p.name, cl.attempts, cl.kind))
-		return
-	}
-	// Capped exponential backoff with seeded jitter on the virtual
-	// clock: deterministic per seed, like the ctrlplane client.
-	d := c.cfg.Timeout << uint(cl.attempts-1)
-	if d > 8*c.cfg.Timeout {
-		d = 8 * c.cfg.Timeout
-	}
-	d += uint64(c.rng.Intn(16))
-	cl.cancel = c.n.AfterNamed(c.name+" retry "+cl.p.name, d, func() { c.transmit(cl) })
-}
-
-func (c *Coordinator) resolve(cl *ucall, rep *UpgradeReply, err error) {
-	if cl.resolved {
-		return
-	}
-	cl.resolved = true
-	if cl.cancel != nil {
-		cl.cancel()
-		cl.cancel = nil
-	}
-	delete(cl.p.inflight, cl.seq)
-	cl.done(rep, err)
-}
-
-// Process implements netsim.Processor: inbound traffic is agent
-// replies. Undecodable and stale frames are dropped — retransmission
-// and dedup make that safe.
-func (c *Coordinator) Process(pkt []byte, inPort uint64) ([]microp4.Output, error) {
-	rep, err := DecodeUpgradeReply(pkt)
-	if err != nil {
-		c.event("drop", "undecodable reply: "+err.Error())
-		return nil, nil
-	}
-	p := c.byPort[inPort]
-	if p == nil || rep.Session != p.session {
-		return nil, nil
-	}
-	cl := p.inflight[rep.Seq]
-	if cl == nil {
-		return nil, nil // stale duplicate
-	}
-	c.resolve(cl, rep, nil)
-	return nil, nil
-}
-
-// mix is splitmix64, the seed-mixing finalizer.
-func mix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-func hashName(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

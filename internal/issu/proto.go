@@ -16,9 +16,9 @@
 package issu
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+
+	"microp4/internal/wire"
 )
 
 // Phase is the upgrade state machine's position on one switch.
@@ -119,251 +119,77 @@ type UpgradeReply struct {
 	Detail    string
 }
 
-// Wire format. Little-endian; strings are u16 length + bytes except
-// sources, which are u32 length + bytes (programs outgrow a u16);
-// a 4-byte FNV-1a checksum trails every message. Decoding is strict:
-// caps on every count and length, no trailing garbage, never a panic —
-// DecodeUpgradeOp and DecodeUpgradeReply are fuzzed on arbitrary bytes.
+// Wire format: internal/wire frames under the issu magic. Strings are
+// u16 length + bytes except sources, which are u32 length + bytes
+// (programs outgrow a u16). Decoding is strict: caps on every count and
+// length, no trailing garbage, never a panic. The frame syntax is
+// wire's; the checks here are the family's semantics.
 const (
-	wireMagic   = 0xD7
-	wireVersion = 1
-
-	wireMsgOp    = 1
-	wireMsgReply = 2
+	wireMagic = 0xD7
 
 	maxWireName    = 1024
 	maxWireSource  = 1 << 16 // 64 KiB per source file
 	maxWireModules = 16
 )
 
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *wireWriter) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *wireWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *wireWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-func (w *wireWriter) str(s string) {
-	if len(s) > maxWireName {
-		s = s[:maxWireName]
-	}
-	w.u16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *wireWriter) source(s string) {
-	if len(s) > maxWireSource {
-		s = s[:maxWireSource]
-	}
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *wireWriter) finish() []byte {
-	h := fnv.New32a()
-	_, _ = h.Write(w.buf)
-	return binary.LittleEndian.AppendUint32(w.buf, h.Sum32())
-}
+var (
+	kindUpgradeOp    = wire.Kind{Family: "issu", Magic: wireMagic, Type: 1, Name: "an op"}
+	kindUpgradeReply = wire.Kind{Family: "issu", Magic: wireMagic, Type: 2, Name: "a reply"}
+)
 
 // EncodeUpgradeOp serializes an op for transmission.
 func EncodeUpgradeOp(op *UpgradeOp) []byte {
-	w := &wireWriter{buf: make([]byte, 0, 256)}
-	w.u8(wireMagic)
-	w.u8(wireVersion)
-	w.u8(wireMsgOp)
-	w.u8(uint8(op.Kind))
-	w.u64(op.Session)
-	w.u64(op.Seq)
-	w.str(op.Program)
-	w.str(op.Main.Name)
-	w.source(op.Main.Source)
-	nm := len(op.Modules)
-	if nm > maxWireModules {
-		nm = maxWireModules
+	w := kindUpgradeOp.Begin(wire.Header{Flag: uint8(op.Kind), Session: op.Session, Seq: op.Seq}, 256)
+	w.Str(op.Program, maxWireName)
+	w.Str(op.Main.Name, maxWireName)
+	w.Bytes32(op.Main.Source, maxWireSource)
+	for _, m := range op.Modules[:w.Count(len(op.Modules), maxWireModules)] {
+		w.Str(m.Name, maxWireName)
+		w.Bytes32(m.Source, maxWireSource)
 	}
-	w.u16(uint16(nm))
-	for _, m := range op.Modules[:nm] {
-		w.str(m.Name)
-		w.source(m.Source)
-	}
-	w.u64(op.CanaryN)
-	return w.finish()
+	w.U64(op.CanaryN)
+	return w.Finish()
 }
 
-// EncodeUpgradeReply serializes a reply for transmission.
+// EncodeUpgradeReply serializes a reply for transmission; its header
+// flag is the Ok bit.
 func EncodeUpgradeReply(r *UpgradeReply) []byte {
-	w := &wireWriter{buf: make([]byte, 0, 96)}
-	w.u8(wireMagic)
-	w.u8(wireVersion)
-	w.u8(wireMsgReply)
-	ok := uint8(0)
-	if r.Ok {
-		ok = 1
-	}
-	w.u8(ok)
-	w.u64(r.Session)
-	w.u64(r.Seq)
-	w.u8(uint8(r.Phase))
-	w.u64(r.Gen)
-	w.u64(r.Mirrored)
-	w.u64(r.Remaining)
-	div := uint8(0)
-	if r.Diverged {
-		div = 1
-	}
-	w.u8(div)
-	w.str(r.Detail)
-	return w.finish()
+	w := kindUpgradeReply.Begin(wire.Header{Flag: bit(r.Ok), Session: r.Session, Seq: r.Seq}, 96)
+	w.U8(uint8(r.Phase))
+	w.U64(r.Gen)
+	w.U64(r.Mirrored)
+	w.U64(r.Remaining)
+	w.U8(bit(r.Diverged))
+	w.Str(r.Detail, maxWireName)
+	return w.Finish()
 }
 
-// wireReader is a bounds-checked cursor; the first failure latches.
-type wireReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *wireReader) fail(why string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("issu: malformed message: %s", why)
+func bit(b bool) uint8 {
+	if b {
+		return 1
 	}
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.buf) {
-		r.fail("truncated")
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *wireReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *wireReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *wireReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *wireReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *wireReader) str() string {
-	n := int(r.u16())
-	if n > maxWireName {
-		r.fail("string too long")
-		return ""
-	}
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (r *wireReader) source() string {
-	n := int(r.u32())
-	if n > maxWireSource {
-		r.fail("source too long")
-		return ""
-	}
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// checkHeader consumes and verifies magic/version and the trailing
-// checksum, returning the message type byte.
-func (r *wireReader) checkHeader() uint8 {
-	if len(r.buf) < 8 {
-		r.fail("too short")
-		return 0
-	}
-	body, sum := r.buf[:len(r.buf)-4], binary.LittleEndian.Uint32(r.buf[len(r.buf)-4:])
-	h := fnv.New32a()
-	_, _ = h.Write(body)
-	if h.Sum32() != sum {
-		r.fail("bad checksum")
-		return 0
-	}
-	r.buf = body
-	if r.u8() != wireMagic {
-		r.fail("bad magic")
-		return 0
-	}
-	if r.u8() != wireVersion {
-		r.fail("unsupported version")
-		return 0
-	}
-	return r.u8()
-}
-
-// finish rejects messages with trailing bytes.
-func (r *wireReader) finish() error {
-	if r.err == nil && r.pos != len(r.buf) {
-		r.fail("trailing bytes")
-	}
-	return r.err
+	return 0
 }
 
 // DecodeUpgradeOp parses an op message. Arbitrary input never panics;
 // corrupted, truncated, or oversized messages return an error.
 func DecodeUpgradeOp(data []byte) (*UpgradeOp, error) {
-	r := &wireReader{buf: data}
-	if t := r.checkHeader(); r.err == nil && t != wireMsgOp {
-		r.fail("not an op message")
+	r, h := kindUpgradeOp.Open(data)
+	op := &UpgradeOp{Kind: OpKind(h.Flag), Session: h.Session, Seq: h.Seq}
+	if op.Kind == 0 || op.Kind >= opKindEnd {
+		r.Fail("unknown op kind")
 	}
-	op := &UpgradeOp{}
-	op.Kind = OpKind(r.u8())
-	if r.err == nil && (op.Kind == 0 || op.Kind >= opKindEnd) {
-		r.fail("unknown op kind")
-	}
-	op.Session = r.u64()
-	op.Seq = r.u64()
-	op.Program = r.str()
-	op.Main.Name = r.str()
-	op.Main.Source = r.source()
-	nm := int(r.u16())
-	if nm > maxWireModules {
-		r.fail("too many modules")
-		nm = 0
-	}
-	for i := 0; i < nm && r.err == nil; i++ {
+	op.Program = r.Str(maxWireName)
+	op.Main.Name = r.Str(maxWireName)
+	op.Main.Source = r.Bytes32(maxWireSource)
+	for i, nm := 0, r.Count(maxWireModules, "modules"); i < nm && r.Ok(); i++ {
 		var m Module
-		m.Name = r.str()
-		m.Source = r.source()
+		m.Name = r.Str(maxWireName)
+		m.Source = r.Bytes32(maxWireSource)
 		op.Modules = append(op.Modules, m)
 	}
-	op.CanaryN = r.u64()
-	if err := r.finish(); err != nil {
+	op.CanaryN = r.U64()
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return op, nil
@@ -372,33 +198,46 @@ func DecodeUpgradeOp(data []byte) (*UpgradeOp, error) {
 // DecodeUpgradeReply parses a reply message (same guarantees as
 // DecodeUpgradeOp).
 func DecodeUpgradeReply(data []byte) (*UpgradeReply, error) {
-	r := &wireReader{buf: data}
-	if t := r.checkHeader(); r.err == nil && t != wireMsgReply {
-		r.fail("not a reply message")
+	r, h := kindUpgradeReply.Open(data)
+	if h.Flag > 1 {
+		r.Fail("bad ok flag")
 	}
-	rep := &UpgradeReply{}
-	ok := r.u8()
-	if r.err == nil && ok > 1 {
-		r.fail("bad ok flag")
+	rep := &UpgradeReply{Ok: h.Flag == 1, Session: h.Session, Seq: h.Seq}
+	rep.Phase = Phase(r.U8())
+	if rep.Phase > PhaseRolledBack {
+		r.Fail("unknown phase")
 	}
-	rep.Ok = ok == 1
-	rep.Session = r.u64()
-	rep.Seq = r.u64()
-	rep.Phase = Phase(r.u8())
-	if r.err == nil && rep.Phase > PhaseRolledBack {
-		r.fail("unknown phase")
-	}
-	rep.Gen = r.u64()
-	rep.Mirrored = r.u64()
-	rep.Remaining = r.u64()
-	div := r.u8()
-	if r.err == nil && div > 1 {
-		r.fail("bad diverged flag")
+	rep.Gen = r.U64()
+	rep.Mirrored = r.U64()
+	rep.Remaining = r.U64()
+	div := r.U8()
+	if div > 1 {
+		r.Fail("bad diverged flag")
 	}
 	rep.Diverged = div == 1
-	rep.Detail = r.str()
-	if err := r.finish(); err != nil {
+	rep.Detail = r.Str(maxWireName)
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// Encode implements wire.Request: it stamps the channel ids into the op.
+func (op *UpgradeOp) Encode(session, seq uint64) []byte {
+	op.Session, op.Seq = session, seq
+	return EncodeUpgradeOp(op)
+}
+
+// Label implements wire.Request.
+func (op *UpgradeOp) Label() string { return op.Kind.String() }
+
+// Channel implements wire.Reply.
+func (r *UpgradeReply) Channel() (session, seq uint64) { return r.Session, r.Seq }
+
+// Outcome implements wire.Reply.
+func (r *UpgradeReply) Outcome() (event, detail string) {
+	if !r.Ok {
+		return "refused", ": " + r.Detail
+	}
+	return "reply", " ok"
 }

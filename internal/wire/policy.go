@@ -1,6 +1,49 @@
-package ctrlplane
+package wire
 
-import "microp4/internal/obs"
+import (
+	"math/rand"
+
+	"microp4/internal/obs"
+)
+
+// The one retry policy, in virtual ticks.
+const (
+	// Timeout is how long a Caller awaits a reply before retrying.
+	Timeout = 64
+	// DefaultMaxAttempts bounds the sends per request, first included.
+	DefaultMaxAttempts = 8
+
+	// Retry n waits in [d/2, d] for d = min(backoffCap,
+	// backoffBase·backoffMult^(n-1)).
+	backoffBase = 16
+	backoffCap  = 1024
+	backoffMult = 2
+
+	// breakerThreshold consecutive timeouts open a channel's breaker;
+	// it admits a half-open probe breakerOpenFor ticks later.
+	breakerThreshold = 5
+	breakerOpenFor   = 512
+
+	// DedupWindow is how many replies an agent keeps per session.
+	DedupWindow = 128
+)
+
+// backoff returns the delay before retry number attempt (1-based),
+// drawing jitter from rng: capped exponential with "equal jitter", half
+// deterministic and half drawn — randomized enough to de-synchronize
+// retry storms, bounded enough to keep worst-case convergence time
+// predictable. The rng is the caller's private seeded stream, consumed
+// in deterministic order by the single-threaded run loop: identical
+// seed ⇒ identical jitter ⇒ identical retry schedule.
+func backoff(attempt int, rng *rand.Rand) uint64 {
+	top := uint64(backoffBase)
+	for i := 1; i < attempt && top < backoffCap; i++ {
+		top *= backoffMult
+	}
+	top = min(top, backoffCap)
+	half := top / 2
+	return half + uint64(rng.Int63n(int64(top-half)+1))
+}
 
 // BreakerState is a circuit breaker's position.
 type BreakerState int
@@ -29,40 +72,14 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes one channel's circuit breaker. Zero fields take
-// the defaults.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker (default 5).
-	FailureThreshold int
-	// OpenFor is how long, in virtual ticks, the breaker stays open
-	// before allowing a half-open probe (default 512).
-	OpenFor uint64
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.OpenFor == 0 {
-		c.OpenFor = 512
-	}
-	return c
-}
-
 // breaker is a per-channel circuit breaker on the network's virtual
 // clock. Single-threaded with the netsim run loop, like everything in
-// the client.
+// the caller.
 type breaker struct {
-	cfg      BreakerConfig
 	state    BreakerState
 	failures int
 	openedAt uint64
 	gauge    *obs.Gauge // nil-safe
-}
-
-func newBreaker(cfg BreakerConfig, gauge *obs.Gauge) *breaker {
-	return &breaker{cfg: cfg.withDefaults(), gauge: gauge}
 }
 
 func (b *breaker) set(s BreakerState) {
@@ -74,10 +91,8 @@ func (b *breaker) set(s BreakerState) {
 // reopen deadline transitions to half-open and admits one probe.
 func (b *breaker) allow(now uint64) bool {
 	switch b.state {
-	case BreakerClosed:
-		return true
 	case BreakerOpen:
-		if now >= b.openedAt+b.cfg.OpenFor {
+		if now >= b.retryAt() {
 			b.set(BreakerHalfOpen)
 			return true
 		}
@@ -91,7 +106,7 @@ func (b *breaker) allow(now uint64) bool {
 }
 
 // retryAt returns the earliest tick a held-back send should retry.
-func (b *breaker) retryAt() uint64 { return b.openedAt + b.cfg.OpenFor }
+func (b *breaker) retryAt() uint64 { return b.openedAt + breakerOpenFor }
 
 // success records a reply: any reply proves the channel works.
 func (b *breaker) success() {
@@ -106,7 +121,7 @@ func (b *breaker) failure(now uint64) {
 	b.failures++
 	switch b.state {
 	case BreakerClosed:
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= breakerThreshold {
 			b.openedAt = now
 			b.set(BreakerOpen)
 		}
