@@ -37,6 +37,7 @@ bench-check:
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProcess$$' -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzTableIndex -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzBitAccess -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 20s ./internal/wire
 
 # upgrade-smoke performs an in-service P9 -> P9v2 upgrade (stage, shadow

@@ -285,7 +285,7 @@ func TestSatisfyCmp(t *testing.T) {
 }
 
 // TestWriteLocAffine checks the affine inversion: a location recording
-// "value = truncate(bits + Add, Width)" must have its bits set so the
+// "value = sim.Truncate(bits + Add, Width)" must have its bits set so the
 // expression evaluates to the requested value, including wrap-around.
 func TestWriteLocAffine(t *testing.T) {
 	loc := sim.BitLoc{Off: 8, Width: 8, Add: ^uint64(0), OK: true} // value = bits - 1
@@ -301,7 +301,7 @@ func TestWriteLocAffine(t *testing.T) {
 		t.Fatalf("writeLoc wrap: %s", r)
 	}
 	if pkt[1] != 0 {
-		t.Errorf("bits = %d, want 0 (value 255 = truncate(0 - 1, 8))", pkt[1])
+		t.Errorf("bits = %d, want 0 (value 255 = sim.Truncate(0 - 1, 8))", pkt[1])
 	}
 	if r := writeLoc(pkt, loc, 256); r == "" {
 		t.Error("value 256 accepted for an 8-bit location")

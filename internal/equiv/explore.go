@@ -306,7 +306,7 @@ func (c *checker) selectAlts(ev *sim.ObsEvent) []alternative {
 	cur := make([]uint64, len(tr.Exprs))
 	for j, e := range tr.Exprs {
 		ws[j] = exprWidth(e)
-		cur[j] = truncate(ev.SelVals[j], ws[j])
+		cur[j] = sim.Truncate(ev.SelVals[j], ws[j])
 	}
 	var targets []int
 	for t := 0; t < len(tr.Cases) && t <= firstDefault; t++ {
@@ -454,11 +454,11 @@ func negCmp(op string) string {
 }
 
 // satisfyCmp picks an expression value making "x OP const" hold that the
-// location can represent. The location's value is truncate(bits + Add,
+// location can represent. The location's value is sim.Truncate(bits + Add,
 // Width), so exactly the values in [0, 2^Width) are representable,
 // independent of the affine offset.
 func satisfyCmp(op string, c uint64, loc sim.BitLoc) (uint64, string) {
-	m := maskW(loc.Width)
+	m := sim.MaskW(loc.Width)
 	switch op {
 	case "==", ">=":
 		if c > m {
@@ -466,7 +466,7 @@ func satisfyCmp(op string, c uint64, loc sim.BitLoc) (uint64, string) {
 		}
 		return c, ""
 	case "!=":
-		v := truncate(c^1, loc.Width)
+		v := sim.Truncate(c^1, loc.Width)
 		if v == c {
 			return 0, "no representable value distinct from the compared constant"
 		}
@@ -523,7 +523,7 @@ func (c *checker) switchAlts(ev *sim.ObsEvent) []alternative {
 		}
 		v := cs.Values[0]
 		addTarget(i, fmt.Sprintf("case%d", i), func() (uint64, string) {
-			if v != truncate(v, condW) {
+			if v != sim.Truncate(v, condW) {
 				return 0, "case value does not fit the switch width"
 			}
 			return v, ""
@@ -541,9 +541,9 @@ func (c *checker) switchAlts(ev *sim.ObsEvent) []alternative {
 				used = append(used, cs.Values...)
 			}
 		}
-		cands := []uint64{0, 1, maskW(condW)}
+		cands := []uint64{0, 1, sim.MaskW(condW)}
 		for _, u := range used {
-			cands = append(cands, truncate(u+1, condW), truncate(u-1, condW), truncate(u^1, condW))
+			cands = append(cands, sim.Truncate(u+1, condW), sim.Truncate(u-1, condW), sim.Truncate(u^1, condW))
 		}
 		seen := make(map[uint64]bool)
 		n := 0
@@ -554,7 +554,7 @@ func (c *checker) switchAlts(ev *sim.ObsEvent) []alternative {
 			seen[v] = true
 			hit := false
 			for _, u := range used {
-				if truncate(u, condW) == v {
+				if sim.Truncate(u, condW) == v {
 					hit = true
 					break
 				}
@@ -647,7 +647,7 @@ func entryKeysFor(def *ir.Table, keys []uint64) []sim.RuntimeKey {
 			}
 			out[i] = sim.LPM(v, plen)
 		case "ternary":
-			out[i] = sim.Ternary(v, maskW(w))
+			out[i] = sim.Ternary(v, sim.MaskW(w))
 		case "range":
 			out[i] = sim.RuntimeKey{Value: v, Mask: v} // inclusive [v, v]
 		default:
@@ -701,7 +701,7 @@ func (c *checker) tableAlts(ev *sim.ObsEvent) []alternative {
 					}
 					args := make([]uint64, len(a.Params))
 					for i, prm := range a.Params {
-						args[i] = truncate(uint64(7+13*i), prm.Width)
+						args[i] = sim.Truncate(uint64(7+13*i), prm.Width)
 					}
 					fqAct := act
 					if ev.Inst != "" {

@@ -9,63 +9,9 @@ import (
 )
 
 // ----------------------------------------------------------------------------
-// Bit-level packet access. Private mirrors of internal/sim's unexported
-// helpers (same network bit order: MSB of byte 0 is bit 0), so witness
-// synthesis writes bytes exactly as the interpreter reads them.
-
-func maskW(w int) uint64 {
-	if w <= 0 {
-		return 0
-	}
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(w) - 1
-}
-
-func truncate(v uint64, w int) uint64 { return v & maskW(w) }
-
-func readBits(buf []byte, off, w int) uint64 {
-	var v uint64
-	bit := off
-	for remaining := w; remaining > 0; {
-		byteIdx := bit >> 3
-		inByte := bit & 7
-		take := 8 - inByte
-		if take > remaining {
-			take = remaining
-		}
-		var b byte
-		if byteIdx < len(buf) {
-			b = buf[byteIdx]
-		}
-		chunk := b >> (8 - inByte - take) & byte(1<<take-1)
-		v = v<<take | uint64(chunk)
-		bit += take
-		remaining -= take
-	}
-	return v
-}
-
-func writeBits(buf []byte, off, w int, v uint64) {
-	bit := off
-	for remaining := w; remaining > 0; {
-		byteIdx := bit >> 3
-		inByte := bit & 7
-		take := 8 - inByte
-		if take > remaining {
-			take = remaining
-		}
-		if byteIdx < len(buf) {
-			chunk := byte(v>>(remaining-take)) & byte(1<<take-1)
-			shift := 8 - inByte - take
-			mask := byte(1<<take-1) << shift
-			buf[byteIdx] = buf[byteIdx]&^mask | chunk<<shift
-		}
-		bit += take
-		remaining -= take
-	}
-}
+// Bit-level packet access goes through sim.ReadBits/sim.WriteBits, the
+// accessors the interpreter itself reads with, so witness synthesis
+// writes bytes exactly as the interpreter reads them.
 
 // writeLoc writes value v into the input-packet location loc, checking
 // that the value fits and the location is inside the packet. Returns a
@@ -74,7 +20,7 @@ func writeLoc(pkt []byte, loc sim.BitLoc, v uint64) string {
 	if !loc.OK {
 		return "value has no input-packet provenance"
 	}
-	// The location's value is truncate(bits + Add, Width), so any v that
+	// The location's value is sim.Truncate(bits + Add, Width), so any v that
 	// fits Width is representable: invert the affine offset in the same
 	// modular arithmetic.
 	if loc.Width < 64 && v>>uint(loc.Width) != 0 {
@@ -83,7 +29,7 @@ func writeLoc(pkt []byte, loc sim.BitLoc, v uint64) string {
 	if loc.Off < 0 || loc.Off+loc.Width > len(pkt)*8 {
 		return "source field lies outside the packet"
 	}
-	writeBits(pkt, loc.Off, loc.Width, truncate(v-loc.Add, loc.Width))
+	sim.WriteBits(pkt, loc.Off, loc.Width, sim.Truncate(v-loc.Add, loc.Width))
 	return ""
 }
 
@@ -103,7 +49,7 @@ func matchesCase(c *ir.TransCase, vals []uint64, ws []int) bool {
 		if j < len(c.DontCare) && c.DontCare[j] {
 			continue
 		}
-		v := truncate(vals[j], ws[j])
+		v := sim.Truncate(vals[j], ws[j])
 		if j < len(c.HasMask) && c.HasMask[j] {
 			if v&c.Masks[j] != c.Values[j]&c.Masks[j] {
 				return false
@@ -135,12 +81,12 @@ func avoidColumn(avoid []*ir.TransCase, vals []uint64, ws []int) ([]uint64, stri
 		if skip {
 			continue
 		}
-		cands := []uint64{0, 1, maskW(w), truncate(vals[j], w)}
+		cands := []uint64{0, 1, sim.MaskW(w), sim.Truncate(vals[j], w)}
 		for _, c := range avoid {
 			cv := c.Values[j]
-			cands = append(cands, truncate(cv^1, w), truncate(cv+1, w), truncate(cv-1, w), truncate(^cv, w))
+			cands = append(cands, sim.Truncate(cv^1, w), sim.Truncate(cv+1, w), sim.Truncate(cv-1, w), sim.Truncate(^cv, w))
 			if j < len(c.HasMask) && c.HasMask[j] {
-				cands = append(cands, truncate(cv^c.Masks[j], w))
+				cands = append(cands, sim.Truncate(cv^c.Masks[j], w))
 			}
 		}
 		for _, v := range cands {
@@ -198,9 +144,9 @@ func chooseCaseValues(cs []*ir.TransCase, cur []uint64, ws []int, target int) ([
 			case j < len(c.DontCare) && c.DontCare[j]:
 				// free column
 			case j < len(c.HasMask) && c.HasMask[j]:
-				vals[j] = truncate(vals[j]&^c.Masks[j]|c.Values[j]&c.Masks[j], ws[j])
+				vals[j] = sim.Truncate(vals[j]&^c.Masks[j]|c.Values[j]&c.Masks[j], ws[j])
 			default:
-				vals[j] = truncate(c.Values[j], ws[j])
+				vals[j] = sim.Truncate(c.Values[j], ws[j])
 			}
 		}
 		// The assignment above may have made an earlier case match; the
@@ -346,14 +292,14 @@ func SolvePacket(p *ir.Program, path *analysis.ParserPath, pad int) ([]byte, err
 			if !eLocs[j].OK {
 				return nil, fmt.Errorf("%s: select operand %d in state %s has no static packet location", p.Name, j, step.State)
 			}
-			cur[j] = readBits(pkt, eLocs[j].Off, eLocs[j].Width)
+			cur[j] = sim.ReadBits(pkt, eLocs[j].Off, eLocs[j].Width)
 		}
 		vals, reason := chooseCaseValues(tr.Cases, cur, ws, c.CaseIndex)
 		if reason != "" {
 			return nil, fmt.Errorf("%s: state %s case %d: %s", p.Name, step.State, c.CaseIndex, reason)
 		}
 		for j := range vals {
-			if truncate(vals[j], ws[j]) == truncate(cur[j], ws[j]) {
+			if sim.Truncate(vals[j], ws[j]) == sim.Truncate(cur[j], ws[j]) {
 				continue
 			}
 			if r := writeLoc(pkt, eLocs[j], vals[j]); r != "" {

@@ -7,10 +7,10 @@ package sim
 
 import "fmt"
 
-// readBits reads w bits (w ≤ 64) starting at absolute bit offset off in
+// ReadBits reads w bits (w ≤ 64) starting at absolute bit offset off in
 // buf, network bit order (MSB of buf[0] is bit 0). Bits beyond the buffer
 // read as zero.
-func readBits(buf []byte, off, w int) uint64 {
+func ReadBits(buf []byte, off, w int) uint64 {
 	var v uint64
 	bit := off
 	for remaining := w; remaining > 0; {
@@ -32,9 +32,9 @@ func readBits(buf []byte, off, w int) uint64 {
 	return v
 }
 
-// writeBits writes the low w bits of v (w ≤ 64) at absolute bit offset
+// WriteBits writes the low w bits of v (w ≤ 64) at absolute bit offset
 // off in buf. Writes beyond the buffer are dropped.
-func writeBits(buf []byte, off, w int, v uint64) {
+func WriteBits(buf []byte, off, w int, v uint64) {
 	bit := off
 	for remaining := w; remaining > 0; {
 		byteIdx := bit >> 3
@@ -54,8 +54,8 @@ func writeBits(buf []byte, off, w int, v uint64) {
 	}
 }
 
-// maskW returns a mask of the low w bits.
-func maskW(w int) uint64 {
+// MaskW returns a mask of the low w bits.
+func MaskW(w int) uint64 {
 	if w <= 0 {
 		return 0
 	}
@@ -65,8 +65,8 @@ func maskW(w int) uint64 {
 	return 1<<uint(w) - 1
 }
 
-// truncate keeps the low w bits of v.
-func truncate(v uint64, w int) uint64 { return v & maskW(w) }
+// Truncate keeps the low w bits of v.
+func Truncate(v uint64, w int) uint64 { return v & MaskW(w) }
 
 // evalBinary evaluates a binary operator on w-bit operands.
 func evalBinary(op string, x, y uint64, w int) (uint64, error) {
@@ -78,11 +78,11 @@ func evalBinary(op string, x, y uint64, w int) (uint64, error) {
 	}
 	switch op {
 	case "+":
-		return truncate(x+y, w), nil
+		return Truncate(x+y, w), nil
 	case "-":
-		return truncate(x-y, w), nil
+		return Truncate(x-y, w), nil
 	case "*":
-		return truncate(x*y, w), nil
+		return Truncate(x*y, w), nil
 	case "/":
 		if y == 0 {
 			return 0, fmt.Errorf("division by zero")
@@ -103,7 +103,7 @@ func evalBinary(op string, x, y uint64, w int) (uint64, error) {
 		if y >= 64 {
 			return 0, nil
 		}
-		return truncate(x<<y, w), nil
+		return Truncate(x<<y, w), nil
 	case ">>":
 		if y >= 64 {
 			return 0, nil

@@ -131,10 +131,29 @@ func (c *compiler) faultEval(reason string) evalFn {
 	return func(*execState) (uint64, error) { return 0, err }
 }
 
+// stmts compiles a statement list. Each maximal run of consecutive plain
+// moves (moves.go) becomes one closure over a []move; every other
+// statement compiles on its own.
 func (c *compiler) stmts(ss []*ir.Stmt) []stmtFn {
-	out := make([]stmtFn, len(ss))
-	for i, s := range ss {
-		out[i] = c.stmt(s)
+	out := make([]stmtFn, 0, len(ss))
+	for i := 0; i < len(ss); i++ {
+		var run []move
+		for ; i < len(ss); i++ {
+			m, ok := c.move(ss[i])
+			if !ok {
+				break
+			}
+			run = append(run, m)
+		}
+		if len(run) > 0 {
+			out = append(out, func(st *execState) error {
+				runMoves(run, st)
+				return nil
+			})
+		}
+		if i < len(ss) {
+			out = append(out, c.stmt(ss[i]))
+		}
 	}
 	return out
 }
@@ -216,7 +235,7 @@ func (c *compiler) switchStmt(s *ir.Stmt) stmtFn {
 		if err != nil {
 			return err
 		}
-		v = truncate(v, w)
+		v = Truncate(v, w)
 		for i := range cases {
 			for _, cv := range cases[i].vals {
 				if cv == v {
@@ -310,7 +329,7 @@ func (c *compiler) registerOp(s *ir.Stmt) stmtFn {
 			if i >= size {
 				i %= size // size 0 panics, recovered as an EngineFault
 			}
-			return dst(st, truncate(cells[i], width))
+			return dst(st, Truncate(cells[i], width))
 		}
 	}
 	idx := c.expr(s.Args[0].Expr)
@@ -327,7 +346,7 @@ func (c *compiler) registerOp(s *ir.Stmt) stmtFn {
 		if err != nil {
 			return err
 		}
-		cells[i] = truncate(v, width)
+		cells[i] = Truncate(v, width)
 		return nil
 	}
 }
@@ -430,7 +449,7 @@ func (c *compiler) applyTable(name string) stmtFn {
 			if err != nil {
 				return err
 			}
-			kv[i] = truncate(v, keyWs[i])
+			kv[i] = Truncate(v, keyWs[i])
 		}
 		call, act, outcome := h.lookup(kv)
 		if m := st.m; m != nil {
@@ -481,7 +500,7 @@ func (c *compiler) applyTable(name string) stmtFn {
 		}
 		for i := range act.params {
 			p := &act.params[i]
-			st.scalars[p.slot] = truncate(call.Args[i], p.width)
+			st.scalars[p.slot] = Truncate(call.Args[i], p.width)
 		}
 		return runList(act.body, st)
 	}
@@ -514,7 +533,7 @@ func (c *compiler) expr(e *ir.Expr) evalFn {
 		}
 	case ir.EBSlice:
 		off, w := e.Off, e.Width
-		return func(st *execState) (uint64, error) { return readBits(st.buf, off, w), nil }
+		return func(st *execState) (uint64, error) { return ReadBits(st.buf, off, w), nil }
 	case ir.EBValid:
 		off := e.Off
 		return func(st *execState) (uint64, error) {
@@ -530,7 +549,7 @@ func (c *compiler) expr(e *ir.Expr) evalFn {
 	case ir.ESlice:
 		x := c.expr(e.X)
 		lo := uint(e.Lo)
-		m := maskW(e.Hi - e.Lo + 1)
+		m := MaskW(e.Hi - e.Lo + 1)
 		return func(st *execState) (uint64, error) {
 			v, err := x(st)
 			if err != nil {
@@ -563,7 +582,7 @@ func (c *compiler) unary(e *ir.Expr) evalFn {
 			if err != nil {
 				return 0, err
 			}
-			return truncate(^v, w), nil
+			return Truncate(^v, w), nil
 		}
 	case "-":
 		return func(st *execState) (uint64, error) {
@@ -571,7 +590,7 @@ func (c *compiler) unary(e *ir.Expr) evalFn {
 			if err != nil {
 				return 0, err
 			}
-			return truncate(-v, w), nil
+			return Truncate(-v, w), nil
 		}
 	case "cast":
 		return func(st *execState) (uint64, error) {
@@ -579,7 +598,7 @@ func (c *compiler) unary(e *ir.Expr) evalFn {
 			if err != nil {
 				return 0, err
 			}
-			return truncate(v, w), nil
+			return Truncate(v, w), nil
 		}
 	}
 	return c.faultEval(fmt.Sprintf("unknown unary %q", e.Op))
@@ -599,7 +618,7 @@ func (c *compiler) binary(e *ir.Expr) evalFn {
 			if err != nil {
 				return 0, err
 			}
-			return truncate(truncate(xv, xw)<<uint(yw)|truncate(yv, yw), w), nil
+			return Truncate(Truncate(xv, xw)<<uint(yw)|Truncate(yv, yw), w), nil
 		}
 	}
 	w := e.Width
@@ -618,7 +637,7 @@ func (c *compiler) binary(e *ir.Expr) evalFn {
 		if err != nil {
 			return 0, err
 		}
-		return op(truncate(xv, xw), truncate(yv, yw))
+		return op(Truncate(xv, xw), Truncate(yv, yw))
 	}
 }
 
@@ -641,11 +660,11 @@ func binOpFn(op string, w int) func(x, y uint64) (uint64, error) {
 	}
 	switch op {
 	case "+":
-		return func(x, y uint64) (uint64, error) { return truncate(x+y, w), nil }
+		return func(x, y uint64) (uint64, error) { return Truncate(x+y, w), nil }
 	case "-":
-		return func(x, y uint64) (uint64, error) { return truncate(x-y, w), nil }
+		return func(x, y uint64) (uint64, error) { return Truncate(x-y, w), nil }
 	case "*":
-		return func(x, y uint64) (uint64, error) { return truncate(x*y, w), nil }
+		return func(x, y uint64) (uint64, error) { return Truncate(x*y, w), nil }
 	case "/":
 		return func(x, y uint64) (uint64, error) {
 			if y == 0 {
@@ -671,7 +690,7 @@ func binOpFn(op string, w int) func(x, y uint64) (uint64, error) {
 			if y >= 64 {
 				return 0, nil
 			}
-			return truncate(x<<y, w), nil
+			return Truncate(x<<y, w), nil
 		}
 	case ">>":
 		return func(x, y uint64) (uint64, error) {
@@ -711,7 +730,7 @@ func (c *compiler) assign(lhs *ir.Expr) assignFn {
 			}
 			w := orW(lhs.Width, 64)
 			return func(st *execState, v uint64) error {
-				st.scalars[slot] = truncate(v, w)
+				st.scalars[slot] = Truncate(v, w)
 				return nil
 			}
 		case ir.ESlice:
@@ -724,7 +743,7 @@ func (c *compiler) assign(lhs *ir.Expr) assignFn {
 				break
 			}
 			lo := uint(lhs.Lo)
-			m := maskW(lhs.Hi-lhs.Lo+1) << lo
+			m := MaskW(lhs.Hi-lhs.Lo+1) << lo
 			return func(st *execState, v uint64) error {
 				cur := st.scalars[slot]
 				st.scalars[slot] = cur&^m | (v<<lo)&m
@@ -737,10 +756,8 @@ func (c *compiler) assign(lhs *ir.Expr) assignFn {
 			// final header write may still land at the very end).
 			endByte := (off + w + 7) / 8
 			return func(st *execState, v uint64) error {
-				for len(st.buf) < endByte {
-					st.buf = append(st.buf, 0)
-				}
-				writeBits(st.buf, off, w, v)
+				st.extend(endByte)
+				WriteBits(st.buf, off, w, v)
 				return nil
 			}
 		}

@@ -65,7 +65,7 @@ func (f *frame) execStmt(s *ir.Stmt) error {
 		if err != nil {
 			return err
 		}
-		v = truncate(v, s.Cond.Width)
+		v = Truncate(v, s.Cond.Width)
 		matched, deflt := -1, -1
 		for i, c := range s.Cases {
 			if c.Default {
@@ -129,7 +129,7 @@ func (f *frame) applyTable(name string) error {
 		if err != nil {
 			return err
 		}
-		keyVals[i] = truncate(v, k.Expr.Width)
+		keyVals[i] = Truncate(v, k.Expr.Width)
 	}
 	fq := name
 	if f.inst != "" {
@@ -190,7 +190,7 @@ func (f *frame) runAction(name string, args []uint64) error {
 		if f.obs != nil {
 			delete(f.obs.locs, name+"#"+p.Name)
 		}
-		f.store[name+"#"+p.Name] = truncate(args[i], p.Width)
+		f.store[name+"#"+p.Name] = Truncate(args[i], p.Width)
 	}
 	return f.execStmts(act.Body)
 }
@@ -229,7 +229,7 @@ func (f *frame) callModule(s *ir.Stmt) error {
 			if err != nil {
 				return err
 			}
-			b.value = truncate(v, b.param.Width)
+			b.value = Truncate(v, b.param.Width)
 			if f.obs != nil {
 				b.loc = f.resolveLoc(a.Expr)
 			}
@@ -376,13 +376,13 @@ func (f *frame) registerOp(s *ir.Stmt) error {
 		idx %= uint64(inst.Size) // wrap, like hardware index truncation
 	}
 	if s.Method == "register_read" {
-		return f.assign(s.Args[0].Expr, truncate(cells[idx], inst.Width))
+		return f.assign(s.Args[0].Expr, Truncate(cells[idx], inst.Width))
 	}
 	v, err := f.eval(s.Args[1].Expr)
 	if err != nil {
 		return err
 	}
-	cells[idx] = truncate(v, inst.Width)
+	cells[idx] = Truncate(v, inst.Width)
 	return nil
 }
 

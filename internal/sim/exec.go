@@ -210,6 +210,14 @@ func (e *Exec) Process(pkt []byte, meta Metadata) (res *ProcResult, err error) {
 	return res, nil
 }
 
+// extend grows the packet to n bytes, zero-filling the new tail, in one
+// step and inside the pooled buffer's capacity when it suffices.
+func (st *execState) extend(n int) {
+	if n > len(st.buf) {
+		st.buf = append(st.buf, make([]byte, n-len(st.buf))...)
+	}
+}
+
 // shift moves the packet tail at byte offset off by amt bytes:
 // positive amt inserts zero bytes (packet grew), negative amt deletes
 // bytes ending at off (packet shrank). Growth reuses the pooled
@@ -221,13 +229,9 @@ func (st *execState) shift(off, amt int) {
 	switch {
 	case amt > 0:
 		n := len(st.buf)
-		for i := 0; i < amt; i++ {
-			st.buf = append(st.buf, 0)
-		}
+		st.extend(n + amt)
 		copy(st.buf[off+amt:], st.buf[off:n])
-		for i := off; i < off+amt; i++ {
-			st.buf[i] = 0
-		}
+		clear(st.buf[off : off+amt])
 	case amt < 0:
 		k := -amt
 		dst := off + amt

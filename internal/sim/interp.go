@@ -400,7 +400,7 @@ func (f *frame) transition(st *ir.State) (string, error) {
 				continue
 			}
 			w := tr.Exprs[j].Width
-			v := truncate(vals[j], w)
+			v := Truncate(vals[j], w)
 			if c.HasMask[j] {
 				if v&c.Masks[j] != c.Values[j]&c.Masks[j] {
 					match = false
@@ -474,7 +474,7 @@ func (f *frame) extract(s *ir.Stmt) (bool, error) {
 			off += varBytes * 8
 			continue
 		}
-		f.store[s.Hdr+"."+fl.Name] = readBits(data, off, fl.Width)
+		f.store[s.Hdr+"."+fl.Name] = ReadBits(data, off, fl.Width)
 		off += fl.Width
 	}
 	if varOff >= 0 {
@@ -556,7 +556,7 @@ func (f *frame) emitBytes(hdr string) []byte {
 			off += len(vb) * 8
 			continue
 		}
-		writeBits(out, off, fl.Width, f.store[hdr+"."+fl.Name])
+		WriteBits(out, off, fl.Width, f.store[hdr+"."+fl.Name])
 		off += fl.Width
 	}
 	return out
@@ -596,11 +596,11 @@ func (f *frame) eval(e *ir.Expr) (uint64, error) {
 			}
 			return 0, nil
 		case "~":
-			return truncate(^x, e.Width), nil
+			return Truncate(^x, e.Width), nil
 		case "-":
-			return truncate(-x, e.Width), nil
+			return Truncate(-x, e.Width), nil
 		case "cast":
-			return truncate(x, e.Width), nil
+			return Truncate(x, e.Width), nil
 		}
 		return 0, &EngineFault{Engine: "reference", Reason: fmt.Sprintf("unknown unary %q", e.Op)}
 	case ir.EBin:
@@ -613,19 +613,19 @@ func (f *frame) eval(e *ir.Expr) (uint64, error) {
 			return 0, err
 		}
 		if e.Op == "++" {
-			return truncate(truncate(x, e.X.Width)<<uint(e.Y.Width)|truncate(y, e.Y.Width), e.Width), nil
+			return Truncate(Truncate(x, e.X.Width)<<uint(e.Y.Width)|Truncate(y, e.Y.Width), e.Width), nil
 		}
 		w := e.Width
 		if e.Bool {
 			w = e.X.Width
 		}
-		return evalBinary(e.Op, truncate(x, orW(e.X.Width, w)), truncate(y, orW(e.Y.Width, w)), w)
+		return evalBinary(e.Op, Truncate(x, orW(e.X.Width, w)), Truncate(y, orW(e.Y.Width, w)), w)
 	case ir.ESlice:
 		x, err := f.eval(e.X)
 		if err != nil {
 			return 0, err
 		}
-		return x >> uint(e.Lo) & maskW(e.Hi-e.Lo+1), nil
+		return x >> uint(e.Lo) & MaskW(e.Hi-e.Lo+1), nil
 	}
 	return 0, &EngineFault{Engine: "reference", Reason: "cannot evaluate " + e.Kind + " expression"}
 }
@@ -660,14 +660,14 @@ func (f *frame) storeRef(ref string, v uint64) {
 func (f *frame) assign(lhs *ir.Expr, v uint64) error {
 	switch lhs.Kind {
 	case ir.ERef:
-		f.storeRef(lhs.Ref, truncate(v, orW(lhs.Width, 64)))
+		f.storeRef(lhs.Ref, Truncate(v, orW(lhs.Width, 64)))
 		return nil
 	case ir.ESlice:
 		if lhs.X.Kind != ir.ERef {
 			return &EngineFault{Engine: "reference", Reason: "assignment to slice of non-reference"}
 		}
 		cur := f.load(lhs.X.Ref)
-		m := maskW(lhs.Hi-lhs.Lo+1) << uint(lhs.Lo)
+		m := MaskW(lhs.Hi-lhs.Lo+1) << uint(lhs.Lo)
 		f.storeRef(lhs.X.Ref, cur&^m|(v<<uint(lhs.Lo))&m)
 		return nil
 	}

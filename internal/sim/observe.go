@@ -15,7 +15,7 @@ import (
 
 // BitLoc locates a value in the input packet: the value equals bits
 // [Off, Off+Width) of the original packet (big-endian bit order, as
-// readBits counts them) plus the affine offset Add, truncated to Width
+// ReadBits counts them) plus the affine offset Add, truncated to Width
 // bits — matching the interpreter, which truncates arithmetic results
 // to the expression width on evaluation and storage. Add is 0 for a
 // plain copy; the affine extension keeps provenance through `x + 1` /

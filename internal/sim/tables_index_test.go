@@ -71,9 +71,9 @@ func newIndexCase(c *choices) *indexCase {
 		}
 		width := 1 + c.intn(64)
 		ic.def.Keys = append(ic.def.Keys, ir.Key{Expr: ir.Ref(fmt.Sprintf("k%d", i), width), MatchKind: kind})
-		vals := []uint64{0, maskW(width)}
+		vals := []uint64{0, MaskW(width)}
 		for j := 0; j < 4; j++ {
-			vals = append(vals, c.u64()&maskW(width))
+			vals = append(vals, c.u64()&MaskW(width))
 		}
 		ic.pool = append(ic.pool, vals)
 	}
@@ -137,7 +137,7 @@ func (ic *indexCase) keys() []RuntimeKey {
 			plens := []int{0, 1, width / 2, width - 1, width, width + 1, 65, -1, ic.c.intn(width + 1), ic.c.intn(width + 1)}
 			keys[i] = LPM(v, plens[ic.c.intn(len(plens))])
 		case "ternary":
-			masks := []uint64{0, maskW(width), maskW(width) &^ maskW(width/2), ic.c.u64()}
+			masks := []uint64{0, MaskW(width), MaskW(width) &^ MaskW(width/2), ic.c.u64()}
 			keys[i] = Ternary(v, masks[ic.c.intn(len(masks))])
 		case "range":
 			keys[i] = RuntimeKey{Value: v, Mask: ic.value(i)}
@@ -213,7 +213,7 @@ func (ic *indexCase) check(t *Tables, handles []*tableHandle, step int) error {
 		for i := range kv {
 			kv[i] = ic.pool[i][0]
 			if i < len(e.Keys) {
-				kv[i] = truncate(e.Keys[i].Value, ic.def.Keys[i].Expr.Width)
+				kv[i] = Truncate(e.Keys[i].Value, ic.def.Keys[i].Expr.Width)
 			}
 		}
 		if err := probe(); err != nil {
@@ -222,7 +222,7 @@ func (ic *indexCase) check(t *Tables, handles []*tableHandle, step int) error {
 	}
 	for n := 0; n < 8; n++ {
 		for i := range kv {
-			kv[i] = truncate(ic.value(i), ic.def.Keys[i].Expr.Width)
+			kv[i] = Truncate(ic.value(i), ic.def.Keys[i].Expr.Width)
 		}
 		if err := probe(); err != nil {
 			return err

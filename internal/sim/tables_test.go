@@ -142,29 +142,29 @@ func TestMatchKeyKinds(t *testing.T) {
 
 func TestBitops(t *testing.T) {
 	buf := []byte{0x12, 0x34, 0x56, 0x78}
-	if v := readBits(buf, 0, 8); v != 0x12 {
-		t.Errorf("readBits(0,8) = %#x", v)
+	if v := ReadBits(buf, 0, 8); v != 0x12 {
+		t.Errorf("ReadBits(0,8) = %#x", v)
 	}
-	if v := readBits(buf, 4, 8); v != 0x23 {
-		t.Errorf("readBits(4,8) = %#x", v)
+	if v := ReadBits(buf, 4, 8); v != 0x23 {
+		t.Errorf("ReadBits(4,8) = %#x", v)
 	}
-	if v := readBits(buf, 8, 16); v != 0x3456 {
-		t.Errorf("readBits(8,16) = %#x", v)
+	if v := ReadBits(buf, 8, 16); v != 0x3456 {
+		t.Errorf("ReadBits(8,16) = %#x", v)
 	}
 	// Reading past the end yields zero bits.
-	if v := readBits(buf, 24, 16); v != 0x7800 {
-		t.Errorf("readBits past end = %#x", v)
+	if v := ReadBits(buf, 24, 16); v != 0x7800 {
+		t.Errorf("ReadBits past end = %#x", v)
 	}
-	writeBits(buf, 4, 8, 0xFF)
+	WriteBits(buf, 4, 8, 0xFF)
 	if buf[0] != 0x1F || buf[1] != 0xF4 {
-		t.Errorf("writeBits(4,8,0xFF): % x", buf)
+		t.Errorf("WriteBits(4,8,0xFF): % x", buf)
 	}
 	// Round-trip property over a few offsets/widths.
 	for off := 0; off < 16; off++ {
 		for w := 1; w <= 16; w++ {
 			b := make([]byte, 4)
-			writeBits(b, off, w, 0xABCD&maskW(w))
-			if got := readBits(b, off, w); got != 0xABCD&maskW(w) {
+			WriteBits(b, off, w, 0xABCD&MaskW(w))
+			if got := ReadBits(b, off, w); got != 0xABCD&MaskW(w) {
 				t.Fatalf("roundtrip off=%d w=%d: %#x", off, w, got)
 			}
 		}
