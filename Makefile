@@ -1,12 +1,10 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml). `make bench-suite` runs the benchmark
-# harness performance claims are made from (bench/README.md); `make
-# bench` re-records the legacy throughput baseline BENCH_5.json that
-# `make bench-check` (and CI) gates against.
+# harness performance claims are made from (bench/README.md).
 
 GO ?= go
 
-.PHONY: all build test race bench bench-suite bench-check fuzz upgrade-smoke verify-paths loc
+.PHONY: all build test race bench-suite fuzz upgrade-smoke verify-paths loc
 
 all: build test
 
@@ -19,20 +17,10 @@ test:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/trace/... ./internal/netsim/... ./internal/wire/... ./internal/ctrlplane/... ./internal/flow/... ./internal/issu/... .
 
-# bench measures the packet-throughput trajectory (P1-P11, both engines,
-# serial/batch/parallel) and rewrites the committed baseline.
-bench:
-	$(GO) run ./cmd/up4bench -perf -perf-dur 300ms -perf-out BENCH_5.json
-
 # bench-suite runs every workload of the benchmark harness: end-to-end
 # metrics with an oracle pass per workload (exit 1 on a wrong packet).
 bench-suite:
 	$(GO) run ./bench
-
-# bench-check re-measures quickly and fails on a >3x ns/packet
-# regression against the committed baseline (serial modes only).
-bench-check:
-	$(GO) test -run TestBenchRegression -v .
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProcess$$' -fuzztime 20s .

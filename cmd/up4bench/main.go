@@ -4,7 +4,6 @@
 //	up4bench                 # everything
 //	up4bench -table 2        # Table 2 only (PHV overhead)
 //	up4bench -figure 9       # the §5.2 worked example
-//	up4bench -perf           # packet-throughput trajectory (BENCH_5.json)
 //
 // Tables 2 and 3 compare each composed program P1..P11 against its
 // monolithic baseline on the modeled Tofino; Figures 9, 10, and 13 are
@@ -15,55 +14,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"microp4/internal/eval"
-	"microp4/internal/perf"
 )
 
 func main() {
 	var (
-		table    = flag.Int("table", 0, "print only this table (1-3)")
-		figure   = flag.Int("figure", 0, "print only this figure (9, 10, or 13)")
-		timings  = flag.Bool("timings", false, "print only the aggregated compiler pass timings")
-		perfMode = flag.Bool("perf", false, "run the packet-throughput suite (P1-P11, both engines, serial/batch/parallel)")
-		perfOut  = flag.String("perf-out", "", "with -perf: also write the JSON report to this path")
-		perfDur  = flag.Duration("perf-dur", 300*time.Millisecond, "with -perf: measurement duration per cell")
-		perfWork = flag.Int("perf-workers", 4, "with -perf: worker count for the parallel mode")
+		table   = flag.Int("table", 0, "print only this table (1-3)")
+		figure  = flag.Int("figure", 0, "print only this figure (9, 10, or 13)")
+		timings = flag.Bool("timings", false, "print only the aggregated compiler pass timings")
 	)
 	flag.Parse()
-	if *perfMode {
-		if err := runPerf(*perfOut, *perfDur, *perfWork); err != nil {
-			fmt.Fprintf(os.Stderr, "up4bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*table, *figure, *timings); err != nil {
 		fmt.Fprintf(os.Stderr, "up4bench: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runPerf measures the packet-throughput trajectory and prints it as a
-// table; with -perf-out it also writes the BENCH_5.json artifact the CI
-// regression gate compares against.
-func runPerf(out string, dur time.Duration, workers int) error {
-	programs := []string{"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11"}
-	rep, err := perf.RunSuite(programs, dur, workers, func(cell string) {
-		fmt.Fprintf(os.Stderr, "measuring %s\n", cell)
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(perf.Table(rep))
-	if out != "" {
-		if err := rep.Write(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-	}
-	return nil
 }
 
 func run(table, figure int, timings bool) error {

@@ -162,7 +162,7 @@ func (c *canaryState) status() CanaryStatus {
 
 // mirror replays one live packet through the shadow generation and
 // compares the architecture-level outcomes plus the flow-table
-// mutations. Called from processPacketInto with the live result already
+// mutations. Called from ingress with the live result already
 // in hand; the live packet's fate is never affected.
 func (c *canaryState) mirror(pkt []byte, meta sim.Metadata, live *outBuf, liveErr error) {
 	c.mu.Lock()

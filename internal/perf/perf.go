@@ -1,126 +1,17 @@
-// Package perf is the benchmark-trajectory harness behind `up4bench
-// -perf` and the CI regression gate. It measures packet-processing
-// throughput (ns/packet, packets/second, allocations/packet) of the
-// behavioral target across the Table 1 programs and engine modes, and
-// emits/compares a stable JSON report (BENCH_5.json) so regressions
-// show up as CI failures rather than folklore.
+// Package perf builds the standard engines, switches and packet mixes
+// of the Table 1 programs for tests and in-package benchmarks: the
+// stateless mix, and the flow-churn, carrier-edge and VIP mixes that
+// keep P9–P11's flowtables hot. Measurement itself lives in bench/
+// (`go run ./bench`, bench/README.md).
 package perf
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"time"
-
 	"microp4"
 	"microp4/internal/lib"
 	"microp4/internal/midend"
 	"microp4/internal/pkt"
 	"microp4/internal/sim"
 )
-
-// Schema identifies the report layout; bump on incompatible change.
-const Schema = "up4bench/perf/v1"
-
-// Result is one measured (program, engine, mode) cell.
-type Result struct {
-	Program      string  `json:"program"`
-	Engine       string  `json:"engine"` // "compiled" | "reference"
-	Mode         string  `json:"mode"`   // "serial" | "batch" | "parallel"
-	Workers      int     `json:"workers"`
-	Packets      int64   `json:"packets"`
-	NsPerPkt     float64 `json:"ns_per_pkt"`
-	PPS          float64 `json:"pps"`
-	AllocsPerPkt float64 `json:"allocs_per_pkt"`
-}
-
-// Key is the stable identity of a result row, used to join baseline
-// and current reports.
-func (r Result) Key() string {
-	return fmt.Sprintf("%s/%s/%s/w%d", r.Program, r.Engine, r.Mode, r.Workers)
-}
-
-// Report is the full benchmark trajectory artifact.
-type Report struct {
-	Schema  string   `json:"schema"`
-	Go      string   `json:"go"`
-	Cores   int      `json:"cores"`
-	Results []Result `json:"results"`
-}
-
-// Load reads a report from disk and checks its schema.
-func Load(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, Schema)
-	}
-	return &r, nil
-}
-
-// Write serializes a report to disk, sorted for stable diffs.
-func (r *Report) Write(path string) error {
-	sort.Slice(r.Results, func(i, j int) bool {
-		return r.Results[i].Key() < r.Results[j].Key()
-	})
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// allocSlack absorbs measurement noise in allocations/packet: one-time
-// lazy growth (map buckets, pool warm-up on a new goroutine) amortized
-// over a short run shows up as a small fraction per packet even on a
-// zero-alloc path.
-const allocSlack = 0.05
-
-// Compare joins current results against a baseline and reports the
-// rows that regressed by more than factor.
-//
-// ns/packet gates only on serial and batch rows: parallel throughput
-// depends on the machine's core count, which differs between the
-// baseline recorder and the CI runner. Allocations/packet gate on
-// EVERY row, including parallel — allocation counts are
-// machine-independent, and a zero-alloc baseline must stay zero-alloc
-// (within allocSlack) in all modes.
-func Compare(baseline, current *Report, factor float64) []string {
-	cur := make(map[string]Result, len(current.Results))
-	for _, r := range current.Results {
-		cur[r.Key()] = r
-	}
-	var violations []string
-	for _, b := range baseline.Results {
-		c, ok := cur[b.Key()]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: missing from current run", b.Key()))
-			continue
-		}
-		if b.Mode != "parallel" && b.NsPerPkt > 0 && c.NsPerPkt > factor*b.NsPerPkt {
-			violations = append(violations, fmt.Sprintf(
-				"%s: %.0f ns/pkt vs baseline %.0f (>%.1fx)", b.Key(), c.NsPerPkt, b.NsPerPkt, factor))
-		}
-		if b.AllocsPerPkt <= allocSlack {
-			if c.AllocsPerPkt > allocSlack {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %.2f allocs/pkt vs zero-alloc baseline", b.Key(), c.AllocsPerPkt))
-			}
-		} else if c.AllocsPerPkt > factor*b.AllocsPerPkt {
-			violations = append(violations, fmt.Sprintf(
-				"%s: %.2f allocs/pkt vs baseline %.2f (>%.1fx)", b.Key(), c.AllocsPerPkt, b.AllocsPerPkt, factor))
-		}
-	}
-	return violations
-}
 
 // Traffic builds the standard benchmark packet mix (one routable IPv4
 // TCP packet, one routable IPv6 packet) — parseable by every Table 1
@@ -304,274 +195,4 @@ func installRules(sw *microp4.Switch, prog string) {
 			sw.AddEntry(name, keys, e.Action, e.Args...)
 		}
 	}
-}
-
-// Measure runs fn — which must process `batch` packets per call — in a
-// timed loop for roughly dur and returns ns/packet, packets/second,
-// and heap allocations/packet (global Mallocs delta, so run nothing
-// else concurrently).
-func Measure(dur time.Duration, batch int, fn func() error) (Result, error) {
-	// Warm up: one call outside the measurement settles pools, lazy
-	// metric series, and slot compilation.
-	if err := fn(); err != nil {
-		return Result{}, err
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var packets int64
-	for time.Since(start) < dur {
-		if err := fn(); err != nil {
-			return Result{}, err
-		}
-		packets += int64(batch)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if packets == 0 {
-		return Result{}, fmt.Errorf("no packets processed")
-	}
-	ns := float64(elapsed.Nanoseconds()) / float64(packets)
-	return Result{
-		Packets:      packets,
-		NsPerPkt:     ns,
-		PPS:          1e9 / ns,
-		AllocsPerPkt: float64(after.Mallocs-before.Mallocs) / float64(packets),
-	}, nil
-}
-
-// RunSuite measures every (program, engine, mode) cell for roughly dur
-// per cell and returns the trajectory report. Modes: compiled and
-// reference engines serially (sim-level, metrics off), plus the public
-// Switch's ProcessBatch with one worker ("batch") and with `workers`
-// goroutines ("parallel").
-func RunSuite(programs []string, dur time.Duration, workers int, progress func(string)) (*Report, error) {
-	if progress == nil {
-		progress = func(string) {}
-	}
-	rep := &Report{
-		Schema: Schema,
-		Go:     runtime.Version(),
-		Cores:  runtime.NumCPU(),
-	}
-	const batchSize = 256
-	for _, prog := range programs {
-		traffic := TrafficFor(prog)
-		batch := make([][]byte, batchSize)
-		for i := range batch {
-			batch[i] = traffic[i%len(traffic)]
-		}
-		exec, interp, err := Engines(prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", prog, err)
-		}
-
-		// The serial cells advance the virtual clock one tick per packet
-		// (the same cadence the Switch batch path uses), so P9's timer
-		// wheel ages entries during the measurement instead of freezing
-		// at tick zero. The clock runs on across both serial cells — the
-		// engines share one flow table, and rewinding it would stall the
-		// wheel for the second cell.
-		progress(prog + " compiled/serial")
-		var seq int
-		var clock uint64
-		r, err := Measure(dur, len(traffic), func() error {
-			for range traffic {
-				clock++
-				res, err := exec.Process(traffic[seq%len(traffic)],
-					sim.Metadata{InPort: 1, InTimestamp: clock})
-				if err != nil {
-					return err
-				}
-				res.Release()
-				seq++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s compiled: %v", prog, err)
-		}
-		r.Program, r.Engine, r.Mode, r.Workers = prog, "compiled", "serial", 1
-		rep.Results = append(rep.Results, r)
-
-		progress(prog + " reference/serial")
-		seq = 0
-		r, err = Measure(dur, len(traffic), func() error {
-			for range traffic {
-				clock++
-				if _, err := interp.Process(traffic[seq%len(traffic)],
-					sim.Metadata{InPort: 1, InTimestamp: clock}); err != nil {
-					return err
-				}
-				seq++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s reference: %v", prog, err)
-		}
-		r.Program, r.Engine, r.Mode, r.Workers = prog, "reference", "serial", 1
-		rep.Results = append(rep.Results, r)
-
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{{"batch", 1}, {"parallel", workers}} {
-			sw, err := Switch(prog)
-			if err != nil {
-				return nil, fmt.Errorf("%s switch: %v", prog, err)
-			}
-			sw.SetWorkers(mode.workers)
-			progress(fmt.Sprintf("%s compiled/%s w%d", prog, mode.name, mode.workers))
-			var results []microp4.BatchResult
-			r, err = Measure(dur, batchSize, func() error {
-				results = sw.ProcessBatchInto(batch, 1, results)
-				var ferr error
-				for i := range results {
-					if results[i].Err != nil {
-						ferr = results[i].Err
-					}
-					results[i].Release()
-				}
-				sw.Digests() // drain so the slice cannot grow unbounded
-				return ferr
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %v", prog, mode.name, err)
-			}
-			r.Program, r.Engine, r.Mode, r.Workers = prog, "compiled", mode.name, mode.workers
-			rep.Results = append(rep.Results, r)
-		}
-
-		// The cutover cell (P9 only, the stateful program upgrades care
-		// about): worst-case packet stall across repeated generation
-		// swaps — the first packet after CutOver pays for the atomic
-		// adoption plus the flow-state carry.
-		if prog == "P9" {
-			progress(prog + " compiled/cutover")
-			r, err = MeasureCutover(dur)
-			if err != nil {
-				return nil, fmt.Errorf("%s cutover: %v", prog, err)
-			}
-			rep.Results = append(rep.Results, r)
-		}
-	}
-	return rep, nil
-}
-
-// cutoverDataplane builds the P9 v2 program (the standard benign
-// upgrade target) against the P9 module set.
-func cutoverDataplane() (*microp4.Dataplane, error) {
-	m, err := lib.Program("P9")
-	if err != nil {
-		return nil, err
-	}
-	src, err := lib.Source("up4/p9_fw_v2.up4")
-	if err != nil {
-		return nil, err
-	}
-	mainMod, err := microp4.CompileModule("p9_fw_v2.up4", src)
-	if err != nil {
-		return nil, err
-	}
-	var mods []*microp4.Module
-	for _, name := range m.Modules {
-		msrc, err := lib.ModuleSource(name)
-		if err != nil {
-			return nil, err
-		}
-		mod, err := microp4.CompileModule(name+".up4", msrc)
-		if err != nil {
-			return nil, err
-		}
-		mods = append(mods, mod)
-	}
-	return microp4.Build(mainMod, mods...)
-}
-
-// MeasureCutover measures generation-swap latency on a P9 switch with
-// an established flow population: each cycle stages the v2 dataplane
-// (off the clock — staging is preparation, not stall), then times
-// CutOver plus the first packet processed on the new generation.
-// NsPerPkt reports the MAX stall observed (the number an operator
-// cares about: the longest any packet waits during an in-service
-// upgrade); Packets counts swap cycles; AllocsPerPkt is allocations
-// per cycle (the flow-state carry allocates, by design, off the
-// steady-state hot path).
-func MeasureCutover(dur time.Duration) (Result, error) {
-	sw, err := Switch("P9")
-	if err != nil {
-		return Result{}, err
-	}
-	for _, p := range FlowChurn(64) {
-		if _, err := sw.Process(p, 1); err != nil {
-			return Result{}, err
-		}
-	}
-	v2, err := cutoverDataplane()
-	if err != nil {
-		return Result{}, err
-	}
-	probe := FlowChurn(1)[1] // a return packet: flowtable hit on the new generation
-	cycle := func() (time.Duration, error) {
-		if _, err := sw.StageGeneration(v2); err != nil {
-			return 0, err
-		}
-		t0 := time.Now()
-		if _, err := sw.CutOver(); err != nil {
-			return 0, err
-		}
-		if _, err := sw.Process(probe, 1); err != nil {
-			return 0, err
-		}
-		return time.Since(t0), nil
-	}
-	// Warm-up cycles settle pools and the staging path's lazy work.
-	for i := 0; i < 3; i++ {
-		if _, err := cycle(); err != nil {
-			return Result{}, err
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	var maxStall time.Duration
-	var cycles int64
-	start := time.Now()
-	for time.Since(start) < dur {
-		stall, err := cycle()
-		if err != nil {
-			return Result{}, err
-		}
-		if stall > maxStall {
-			maxStall = stall
-		}
-		cycles++
-	}
-	runtime.ReadMemStats(&after)
-	if cycles == 0 {
-		return Result{}, fmt.Errorf("no cutover cycles completed")
-	}
-	return Result{
-		Program:      "P9",
-		Engine:       "compiled",
-		Mode:         "cutover",
-		Workers:      1,
-		Packets:      cycles,
-		NsPerPkt:     float64(maxStall.Nanoseconds()),
-		PPS:          float64(cycles) / time.Since(start).Seconds(),
-		AllocsPerPkt: float64(after.Mallocs-before.Mallocs) / float64(cycles),
-	}, nil
-}
-
-// Table renders a report as an aligned text table.
-func Table(r *Report) string {
-	out := fmt.Sprintf("%-8s %-10s %-9s %3s %12s %14s %8s\n",
-		"program", "engine", "mode", "w", "ns/pkt", "pps", "allocs")
-	for _, res := range r.Results {
-		out += fmt.Sprintf("%-8s %-10s %-9s %3d %12.1f %14.0f %8.2f\n",
-			res.Program, res.Engine, res.Mode, res.Workers, res.NsPerPkt, res.PPS, res.AllocsPerPkt)
-	}
-	return out
 }

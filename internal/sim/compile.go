@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"microp4/internal/flow"
 	"microp4/internal/ir"
@@ -36,15 +35,22 @@ type cParam struct {
 // cAction is a compiled table action.
 type cAction struct {
 	name   string
+	id     int32 // name, interned for the per-packet record
 	params []cParam
 	body   []stmtFn
 }
 
-// tableMetricsCache memoizes the per-table counter series for one
-// attached Metrics, so the hot path skips the name→series map lookup.
-type tableMetricsCache struct {
-	m  *Metrics
-	tm *TableMetrics
+// idOr returns the action's interned name; for a lookup that chose an
+// action the program does not have (a is nil) the name it asked for;
+// for a lookup that chose none, noName.
+func (a *cAction) idOr(call *ir.ActionCall) int32 {
+	switch {
+	case a != nil:
+		return a.id
+	case call != nil:
+		return intern(call.Name)
+	}
+	return noName
 }
 
 type compiler struct {
@@ -92,7 +98,7 @@ func (e *Exec) compile() {
 	c := &compiler{e: e, sm: sm}
 	e.actions = make(map[string]*cAction, len(e.pl.Actions))
 	for name, act := range e.pl.Actions {
-		ca := &cAction{name: act.Name}
+		ca := &cAction{name: act.Name, id: intern(act.Name)}
 		for _, p := range act.Params {
 			slot, ok := sm.Scalar(act.Name + "#" + p.Name)
 			if !ok {
@@ -368,6 +374,7 @@ func (c *compiler) flowOp(s *ir.Stmt) stmtFn {
 	}
 	name := c.e.pl.FlowTables[fi].Name
 	tbl := c.e.flows[name]
+	id := intern(name)
 	tsSlot := c.e.imInTS
 	if op == "stick" {
 		if len(s.Args) != 8 {
@@ -392,7 +399,9 @@ func (c *compiler) flowOp(s *ir.Stmt) stmtFn {
 				SrcAddr: vals[1], DstAddr: vals[2], Proto: vals[3],
 				SrcPort: vals[4], DstPort: vals[5],
 			}, vals[0], st.scalars[tsSlot])
-			st.m.countFlow(name, tbl)
+			if st.rec.on {
+				st.rec.flow(id, tbl)
+			}
 			if err := hitDst(st, hit); err != nil {
 				return err
 			}
@@ -420,7 +429,9 @@ func (c *compiler) flowOp(s *ir.Stmt) stmtFn {
 			SrcAddr: vals[1], DstAddr: vals[2], Proto: vals[3],
 			SrcPort: vals[4], DstPort: vals[5],
 		}, vals[0], st.scalars[tsSlot])
-		st.m.countFlow(name, tbl)
+		if st.rec.on {
+			st.rec.flow(id, tbl)
+		}
 		return dst(st, hit)
 	}
 }
@@ -438,11 +449,9 @@ func (c *compiler) applyTable(name string) stmtFn {
 		keyFns[i] = c.expr(k.Expr)
 		keyWs[i] = orW(k.Expr.Width, 64)
 	}
-	module := moduleOf(name)
+	id := intern(name)
 	h := c.e.tables.bind(name, def, c.e.actions)
-	var tmc atomic.Pointer[tableMetricsCache]
 	return func(st *execState) error {
-		e := st.e
 		kv := st.keys[:nKeys]
 		for i, kf := range keyFns {
 			v, err := kf(st)
@@ -452,41 +461,8 @@ func (c *compiler) applyTable(name string) stmtFn {
 			kv[i] = Truncate(v, keyWs[i])
 		}
 		call, act, outcome := h.lookup(kv)
-		if m := st.m; m != nil {
-			// The cache tracks the engine's default metrics identity;
-			// per-worker shards (Metadata.M) bypass it with a direct
-			// lookup so concurrent workers don't thrash the pointer.
-			var tm *TableMetrics
-			if cache := tmc.Load(); cache != nil && cache.m == m {
-				tm = cache.tm
-			} else if m == e.metrics {
-				tm = m.Table(name)
-				tmc.Store(&tableMetricsCache{m: m, tm: tm})
-			} else {
-				tm = m.Table(name)
-			}
-			switch outcome {
-			case LookupHit:
-				tm.Hits.Inc()
-			case LookupDefault:
-				tm.Defaults.Inc()
-			case LookupMiss:
-				tm.Misses.Inc()
-			}
-		}
-		if st.span != nil {
-			act := ""
-			if call != nil {
-				act = call.Name
-			}
-			st.span.step(name, outcome, act)
-		}
-		if e.bus.Active() {
-			detail := "miss (no default)"
-			if call != nil {
-				detail = "-> " + call.Name + " " + keyString(kv)
-			}
-			e.bus.Publish(TraceEvent{Kind: "table", Module: module, Name: name, Detail: detail})
+		if st.rec.on {
+			st.rec.table(id, act.idOr(call), outcome, kv)
 		}
 		if call == nil {
 			return nil

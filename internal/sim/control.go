@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"microp4/internal/flow"
 	"microp4/internal/ir"
@@ -117,6 +116,15 @@ func (f *frame) execStmt(s *ir.Stmt) error {
 		Reason: fmt.Sprintf("%s: unsupported statement %s", f.prog.Name, s.Kind)}
 }
 
+// qualify prefixes a module-local name with the frame's instance path,
+// the name the control plane and the compiled engine know it by.
+func (f *frame) qualify(name string) string {
+	if f.inst == "" {
+		return name
+	}
+	return f.inst + "." + name
+}
+
 // applyTable looks up and runs a table.
 func (f *frame) applyTable(name string) error {
 	def := f.prog.Tables[name]
@@ -131,36 +139,25 @@ func (f *frame) applyTable(name string) error {
 		}
 		keyVals[i] = Truncate(v, k.Expr.Width)
 	}
-	fq := name
-	if f.inst != "" {
-		fq = f.inst + "." + name
-	}
+	fq := f.qualify(name)
 	call, outcome := f.r.ip.tables.LookupWithOutcome(fq, def, keyVals)
-	if f.r.m != nil {
-		f.r.m.countTable(fq, outcome)
-	}
-	if f.r.span != nil {
-		act := ""
-		if call != nil {
-			act = call.Name
-		}
-		f.r.span.step(fq, outcome, act)
-	}
-	if f.r.ip.bus.Active() {
-		detail := "miss (no default)"
-		if call != nil {
-			detail = "-> " + call.Name + " " + keyString(keyVals)
-		}
-		f.r.ip.bus.Publish(TraceEvent{Kind: "table", Module: f.inst, Name: fq, Detail: detail})
-	}
 	// Control-plane entries use fully-qualified action names; the
-	// module's own action map is unprefixed.
+	// module's own action map, and so a default the table declares, is
+	// unprefixed. The record gets the qualified name either way, like
+	// the compiled engine's.
 	actName := ""
 	if call != nil {
 		actName = call.Name
 		if f.inst != "" {
 			actName = strings.TrimPrefix(actName, f.inst+".")
 		}
+	}
+	if f.r.rec.on {
+		action := noName
+		if call != nil {
+			action = intern(f.qualify(actName))
+		}
+		f.r.rec.table(intern(fq), action, outcome, keyVals)
 	}
 	if f.obs != nil {
 		locs := make([]BitLoc, len(def.Keys))
@@ -174,16 +171,18 @@ func (f *frame) applyTable(name string) error {
 	if call == nil {
 		return nil // miss with no default: no-op
 	}
-	return f.runAction(actName, call.Args)
+	return f.runAction(fq, actName, call.Args)
 }
 
-func (f *frame) runAction(name string, args []uint64) error {
+// runAction runs action name of the module on behalf of table (fully
+// qualified, for the error text).
+func (f *frame) runAction(table, name string, args []uint64) error {
 	act := f.prog.Actions[name]
 	if act == nil {
-		return &TableError{Action: name, Reason: "unknown action in " + f.prog.Name}
+		return &TableError{Table: table, Action: name, Reason: "unknown action in " + f.prog.Name}
 	}
 	if len(args) != len(act.Params) {
-		return &TableError{Action: name,
+		return &TableError{Table: table, Action: name,
 			Reason: fmt.Sprintf("takes %d args, got %d", len(act.Params), len(args))}
 	}
 	for i, p := range act.Params {
@@ -236,12 +235,9 @@ func (f *frame) callModule(s *ir.Stmt) error {
 		}
 		bindings = append(bindings, b)
 	}
-	childInst := s.Instance
-	if f.inst != "" {
-		childInst = f.inst + "." + s.Instance
-	}
-	if f.r.ip.bus.Active() {
-		f.r.ip.bus.Publish(TraceEvent{Kind: "module", Module: childInst, Name: childInst, Detail: "apply " + s.Module})
+	childInst := f.qualify(s.Instance)
+	if f.r.rec.on {
+		f.r.rec.mark(stepModule, intern(childInst), intern(s.Module))
 	}
 	// Bind the callee's $im: inherit ours for "$im", or route to a
 	// local im_t copy living in this frame's store.
@@ -359,10 +355,7 @@ func (f *frame) registerOp(s *ir.Stmt) error {
 	if inst == nil {
 		return &TableError{Table: s.Target, Reason: "unknown register in " + f.prog.Name}
 	}
-	fq := s.Target
-	if f.inst != "" {
-		fq = f.inst + "." + s.Target
-	}
+	fq := f.qualify(s.Target)
 	cells := f.r.ip.Register(fq, inst.Size)
 	idxArg := 1
 	if s.Method == "register_write" {
@@ -407,10 +400,7 @@ func (f *frame) flowOp(s *ir.Stmt) error {
 	if inst == nil {
 		return &FlowError{Table: s.Target, Op: op, Reason: "unknown flowtable in " + f.prog.Name}
 	}
-	fq := s.Target
-	if f.inst != "" {
-		fq = f.inst + "." + s.Target
-	}
+	fq := f.qualify(s.Target)
 	tbl := f.r.ip.FlowTable(fq, inst.Size, inst.IdleTTL, inst.EstTTL)
 	now := f.imGet("meta.IN_TIMESTAMP")
 	if op == "stick" {
@@ -426,7 +416,9 @@ func (f *frame) flowOp(s *ir.Stmt) error {
 			SrcAddr: vals[1], DstAddr: vals[2], Proto: vals[3],
 			SrcPort: vals[4], DstPort: vals[5],
 		}, vals[0], now)
-		f.r.m.countFlow(fq, tbl)
+		if f.r.rec.on {
+			f.r.rec.flow(intern(fq), tbl)
+		}
 		if err := f.assign(s.Args[0].Expr, hit); err != nil {
 			return err
 		}
@@ -444,7 +436,9 @@ func (f *frame) flowOp(s *ir.Stmt) error {
 		SrcAddr: vals[1], DstAddr: vals[2], Proto: vals[3],
 		SrcPort: vals[4], DstPort: vals[5],
 	}, vals[0], now)
-	f.r.m.countFlow(fq, tbl)
+	if f.r.rec.on {
+		f.r.rec.flow(intern(fq), tbl)
+	}
 	return f.assign(s.Args[0].Expr, hit)
 }
 
@@ -546,14 +540,9 @@ func (r *run) runModuleFrame(prog *ir.Program, inst string, v view, args []argBi
 		}
 	}
 	if prog.Parser != nil {
-		var pstart time.Time
-		if r.span != nil {
-			pstart = time.Now()
-		}
+		r.rec.enter(stageParse)
 		ok, err := f.runParser()
-		if r.span != nil {
-			r.span.ParseNs += time.Since(pstart).Nanoseconds()
-		}
+		r.rec.enter(stageExec)
 		if err != nil {
 			return nil, err
 		}
@@ -577,15 +566,10 @@ func (r *run) runModuleFrame(prog *ir.Program, inst string, v view, args []argBi
 	}
 	if prog.Parser != nil || len(prog.Deparser) > 0 {
 		// Deparse failures surface as *DeparseError and are counted
-		// centrally at the Process boundary (Metrics.countError).
-		var dstart time.Time
-		if r.span != nil {
-			dstart = time.Now()
-		}
+		// centrally, by the record's metrics reader.
+		r.rec.enter(stageDeparse)
 		emitted, err := f.runDeparser()
-		if r.span != nil {
-			r.span.DeparseNs += time.Since(dstart).Nanoseconds()
-		}
+		r.rec.enter(stageExec)
 		if err != nil {
 			return nil, err
 		}

@@ -415,7 +415,8 @@ func TestOutputBytesChange(t *testing.T) {
 // TestTruncationSweep cuts every packet of every program's standard
 // traffic, and of a seeded structured-random set, at every byte boundary and requires the compiled engine and
 // the reference interpreter to agree on each prefix: output bytes and
-// ports, drop and reject flags, error class. The compiled engine's header
+// ports, drop and reject flags, error class (for a table error, its
+// text). The compiled engine's header
 // moves read a field with one wide load only when its bytes lie inside
 // the packet and fall back to ReadBits otherwise; the sweep puts the end
 // of the packet on every byte of every header, so each move takes the
@@ -428,6 +429,10 @@ func TestTruncationSweep(t *testing.T) {
 			outcome := func(r *sim.ProcResult, err error) string {
 				if err != nil {
 					class, _ := sim.ClassOf(err)
+					if class == sim.ClassTable {
+						// Both engines name the table, the action and the reason.
+						return "error " + err.Error()
+					}
 					return "error class " + class.String()
 				}
 				return fmt.Sprintf("dropped=%v reject=%v %s", r.Dropped, r.ParserReject, summarize(r))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sync"
-	"time"
 
 	"microp4/internal/flow"
 	"microp4/internal/mat"
@@ -20,13 +19,11 @@ import (
 // zero heap allocations per packet once the pool is warm, provided the
 // caller returns results with ProcResult.Release.
 type Exec struct {
-	pl       *mat.Pipeline
-	tables   *Tables
-	regs     map[string][]uint64    // register state, persistent across packets
-	flows    map[string]*flow.Table // flowtable state, persistent across packets
-	bus      *Bus                   // trace event bus; idle unless subscribed
-	traceOff func()                 // SetTracer's current subscription
-	metrics  *Metrics               // nil = observability disabled
+	pl     *mat.Pipeline
+	tables *Tables
+	regs   map[string][]uint64    // register state, persistent across packets
+	flows  map[string]*flow.Table // flowtable state, persistent across packets
+	observers
 
 	prog     []stmtFn            // compiled pipeline control flow
 	actions  map[string]*cAction // compiled actions by fully qualified name
@@ -43,8 +40,8 @@ type Exec struct {
 // NewExec returns an executor for a pipeline sharing control-plane
 // state. The pipeline is slot-compiled here, once.
 func NewExec(pl *mat.Pipeline, t *Tables) *Exec {
-	e := &Exec{pl: pl, tables: t,
-		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table), bus: NewBus()}
+	e := &Exec{pl: pl, tables: t, observers: observers{bus: NewBus()},
+		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table)}
 	for _, r := range pl.Registers {
 		e.regs[r.Name] = make([]uint64, r.Size)
 	}
@@ -96,12 +93,7 @@ type execState struct {
 	valid   []bool
 	keys    []uint64 // table-key scratch, sized to the widest key set
 	res     ProcResult
-
-	// Per-packet observability context, set by Process from Metadata:
-	// m is the effective metrics sink (a per-worker shard when the
-	// caller supplies one), span the optional hop trace.
-	m    *Metrics
-	span *HopSpan
+	rec     record // what this packet did, for whoever watches (record.go)
 }
 
 // getState fetches a pooled state (or builds one) and resets it.
@@ -137,7 +129,6 @@ func (r *ProcResult) Release() {
 	}
 	st := r.owner
 	r.owner = nil
-	st.m, st.span = nil, nil // don't pin observability state from the pool
 	st.e.pool.Put(st)
 }
 
@@ -149,37 +140,16 @@ func (r *ProcResult) Release() {
 // pooled state: call res.Release() once done to recycle it, or keep it
 // indefinitely and let the GC have it.
 func (e *Exec) Process(pkt []byte, meta Metadata) (res *ProcResult, err error) {
-	m := e.metrics
-	if meta.M != nil {
-		m = meta.M
-	}
-	span := meta.Span
-	defer func() {
-		recoverFault("compiled", &res, &err)
-		if err != nil {
-			m.countError(err)
-			if span != nil {
-				span.Disposition = "error"
-				span.Err = err.Error()
-			}
-		}
-	}()
-	sampled := m.sampleLatency()
-	var start time.Time
-	if sampled || span != nil {
-		start = time.Now()
-	}
 	st := e.getState()
-	st.m = m
-	st.span = span
+	st.rec.begin(&e.observers, meta, len(pkt))
+	defer st.finish(&res, &err)
+	defer recoverFault("compiled", &res, &err)
 	st.buf = append(st.buf, pkt...)
 	st.scalars[e.imInPort] = meta.InPort
 	st.scalars[e.imInTS] = meta.InTimestamp
 	st.scalars[e.imPktLen] = uint64(len(pkt))
 	st.scalars[e.imQdepth] = meta.Qdepth
 	if err := runList(e.prog, st); err != nil && err != errExit {
-		st.res.owner = nil
-		e.pool.Put(st) // nothing escaped; recycle directly
 		return nil, err
 	}
 	res = &st.res
@@ -188,26 +158,21 @@ func (e *Exec) Process(pkt []byte, meta Metadata) (res *ProcResult, err error) {
 		if st.scalars[e.imPerr] != 0 {
 			res.ParserReject = true
 		}
-		if span != nil {
-			span.Disposition = "drop"
-		}
 	} else {
 		res.Out = append(res.Out, OutPkt{Data: st.buf, Port: st.scalars[e.imOutPort]})
-		if span != nil {
-			span.Disposition = "forward"
-			span.OutPorts = append(span.OutPorts, st.scalars[e.imOutPort])
-		}
-	}
-	if span != nil {
-		span.ExecNs += time.Since(start).Nanoseconds()
-	}
-	if m != nil {
-		m.countResult(meta.InPort, len(pkt), res)
-		if sampled {
-			m.Latency.Observe(uint64(time.Since(start)))
-		}
 	}
 	return res, nil
+}
+
+// finish ends every Process call, failed or not: the record goes to
+// its readers, and a state whose packet failed — nothing of it escaped
+// — goes straight back to the pool.
+func (st *execState) finish(resp **ProcResult, errp *error) {
+	st.rec.finish(*resp, *errp)
+	if *errp != nil {
+		st.res.owner = nil
+		st.e.pool.Put(st)
+	}
 }
 
 // extend grows the packet to n bytes, zero-filling the new tail, in one

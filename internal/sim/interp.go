@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"microp4/internal/flow"
 	"microp4/internal/ir"
@@ -27,8 +26,9 @@ type Metadata struct {
 	// M overrides the engine's attached metrics for this packet — the
 	// per-worker telemetry shard hook. Nil uses the engine default.
 	M *Metrics
-	// Span, when non-nil, receives this packet's hop-level trace events
-	// (table lookups, disposition). Nil (the default) records nothing.
+	// Span, when non-nil, receives this packet's hop-level view (table
+	// lookups, timings, disposition) when the engine's pass is over. Nil
+	// (the default) records nothing.
 	Span *HopSpan
 }
 
@@ -61,21 +61,19 @@ var errExit = errors.New("exit")
 
 // Interp executes linked µP4-IR modules with source-level semantics.
 type Interp struct {
-	linked   *linker.Linked
-	tables   *Tables
-	regsMu   sync.Mutex             // guards the regs and flows maps (lazy allocation)
-	regs     map[string][]uint64    // register state, persistent across packets
-	flows    map[string]*flow.Table // flowtable state, persistent across packets
-	bus      *Bus                   // trace event bus; idle unless subscribed
-	traceOff func()                 // SetTracer's current subscription
-	metrics  *Metrics               // nil = observability disabled
+	linked *linker.Linked
+	tables *Tables
+	regsMu sync.Mutex             // guards the regs and flows maps (lazy allocation)
+	regs   map[string][]uint64    // register state, persistent across packets
+	flows  map[string]*flow.Table // flowtable state, persistent across packets
+	observers
 }
 
 // NewInterp returns an interpreter over a linked program sharing the
 // given control-plane state.
 func NewInterp(l *linker.Linked, t *Tables) *Interp {
-	return &Interp{linked: l, tables: t,
-		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table), bus: NewBus()}
+	return &Interp{linked: l, tables: t, observers: observers{bus: NewBus()},
+		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table)}
 }
 
 // Register returns a register array's cells (allocated on first access),
@@ -173,9 +171,8 @@ type run struct {
 	ip     *Interp
 	im     map[string]uint64 // shared intrinsic metadata ("out_port", "meta.IN_PORT", ...)
 	result *ProcResult
-	obs    *runObs  // non-nil only under ObserveProcess
-	m      *Metrics // effective metrics sink (Metadata.M override or engine default)
-	span   *HopSpan // optional hop trace (Metadata.Span)
+	obs    *runObs // non-nil only under ObserveProcess
+	rec    record  // what this packet did, for whoever watches (record.go)
 }
 
 // frame is one module invocation.
@@ -207,30 +204,8 @@ func (ip *Interp) Process(pkt []byte, meta Metadata) (*ProcResult, error) {
 }
 
 func (ip *Interp) process(pkt []byte, meta Metadata, obs *runObs) (res *ProcResult, err error) {
-	m := ip.metrics
-	if meta.M != nil {
-		m = meta.M
-	}
-	span := meta.Span
-	defer func() {
-		recoverFault("reference", &res, &err)
-		if err != nil {
-			m.countError(err)
-			if span != nil {
-				span.Disposition = "error"
-				span.Err = err.Error()
-			}
-		}
-	}()
-	sampled := m.sampleLatency()
-	var start time.Time
-	if sampled || span != nil {
-		start = time.Now()
-	}
 	r := &run{
-		m:    m,
-		span: span,
-		ip:   ip,
+		ip: ip,
 		im: map[string]uint64{
 			"out_port":           0,
 			"meta.IN_PORT":       meta.InPort,
@@ -245,6 +220,9 @@ func (ip *Interp) process(pkt []byte, meta Metadata, obs *runObs) (res *ProcResu
 		result: &ProcResult{},
 		obs:    obs,
 	}
+	r.rec.begin(&ip.observers, meta, len(pkt))
+	defer func() { r.rec.finish(res, err) }()
+	defer recoverFault("reference", &res, &err)
 	buf := &pktBuf{data: append([]byte(nil), pkt...)}
 	if obs != nil {
 		obs.buf = buf
@@ -279,25 +257,6 @@ func (ip *Interp) process(pkt []byte, meta Metadata, obs *runObs) (res *ProcResu
 	default:
 		res.Out = append(res.Out, OutPkt{Data: append([]byte(nil), buf.data...), Port: r.im["out_port"]})
 	}
-	if span != nil {
-		if res.Dropped {
-			span.Disposition = "drop"
-		} else if len(res.Out) > 0 {
-			span.Disposition = "forward"
-			for _, o := range res.Out {
-				span.OutPorts = append(span.OutPorts, o.Port)
-			}
-		} else {
-			span.Disposition = "drop"
-		}
-		span.ExecNs += time.Since(start).Nanoseconds()
-	}
-	if m != nil {
-		m.countResult(meta.InPort, len(pkt), res)
-		if sampled {
-			m.Latency.Observe(uint64(time.Since(start)))
-		}
-	}
 	return res, nil
 }
 
@@ -321,8 +280,8 @@ func (f *frame) runParser() (accepted bool, err error) {
 			return false, &ParseError{Program: f.prog.Name, State: state.Name,
 				Reason: fmt.Sprintf("did not terminate within %d steps", maxParserSteps)}
 		}
-		if f.r.ip.bus.Active() {
-			f.r.ip.bus.Publish(TraceEvent{Kind: "parser-state", Module: f.inst, Name: f.prog.Name + "." + state.Name})
+		if f.r.rec.on {
+			f.r.rec.mark(stepState, intern(f.prog.Name+"."+state.Name), intern(f.inst))
 		}
 		if f.obs != nil {
 			f.emitObs(ObsEvent{Kind: "state", State: state.Name})

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"microp4/internal/flow"
 	"microp4/internal/obs"
@@ -40,10 +41,12 @@ type PortMetrics struct {
 // per-table counters, error counters, and a per-packet latency
 // histogram, all registered in an obs.Registry for exposition.
 //
-// Hot-path contract: Table and Port resolve through copy-on-write maps
-// (one atomic load + map read, no locks, no allocation once the series
-// exists); engines check their metrics pointer for nil once per site,
-// so a switch without metrics attached pays nothing beyond that branch.
+// Metrics is a reader of the per-packet record (record.go): the engines
+// never touch it on the packet path, observe tallies a finished record
+// into it. Per-table counters resolve through a copy-on-write slice
+// indexed by the table's interned id and ports through a copy-on-write
+// map — one atomic load plus an index or a map read, no locks, no
+// allocation once the series exists.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -61,8 +64,9 @@ type Metrics struct {
 	// SampleEvery controls latency-histogram sampling: every Nth packet
 	// is timed (two time.Now calls around Process). The default of 1
 	// times every packet — the histogram count then equals the packet
-	// count. Raise it (e.g. 256) to amortize the clock reads away on
-	// throughput-critical deployments; counters are unaffected.
+	// count, packets that ended in a typed error included. Raise it
+	// (e.g. 256) to amortize the clock reads away on throughput-critical
+	// deployments; counters are unaffected.
 	SampleEvery atomic.Int64
 	sampleSeq   atomic.Uint64
 
@@ -73,9 +77,9 @@ type Metrics struct {
 	shards atomic.Value // []*Metrics, parent only
 
 	mu     sync.Mutex
-	tables atomic.Value // map[string]*TableMetrics
-	ports  atomic.Value // map[uint64]*PortMetrics
-	flows  atomic.Value // map[string]*FlowMetrics
+	tables atomic.Pointer[[]*TableMetrics] // indexed by interned table id
+	ports  atomic.Value                    // map[uint64]*PortMetrics
+	flows  atomic.Value                    // map[string]*FlowMetrics
 }
 
 // sampleLatency reports whether this packet's latency should be timed.
@@ -113,7 +117,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Clock:         reg.Gauge("up4_switch_clock", "Virtual clock of the switch (packets seen)"),
 	}
 	m.SampleEvery.Store(1)
-	m.tables.Store(map[string]*TableMetrics{})
+	m.tables.Store(new([]*TableMetrics))
 	m.ports.Store(map[uint64]*PortMetrics{})
 	m.flows.Store(map[string]*FlowMetrics{})
 	return m
@@ -166,42 +170,45 @@ func (m *Metrics) newShard() *Metrics {
 		Latency:       m.Latency.Shard(),
 		Clock:         m.Clock,
 	}
-	s.tables.Store(map[string]*TableMetrics{})
+	s.tables.Store(new([]*TableMetrics))
 	s.ports.Store(map[uint64]*PortMetrics{})
 	s.flows.Store(map[string]*FlowMetrics{})
 	return s
 }
 
 // Table returns the counters of a fully qualified table, creating them
-// on first use. The fast path is one atomic load plus a map read. On a
-// shard view the counters are per-worker children of the parent's.
-func (m *Metrics) Table(name string) *TableMetrics {
-	if t := m.tables.Load().(map[string]*TableMetrics)[name]; t != nil {
-		return t
+// on first use. On a shard view the counters are per-worker children of
+// the parent's.
+func (m *Metrics) Table(name string) *TableMetrics { return m.table(intern(name)) }
+
+// table is Table by interned id: one atomic load and an index once the
+// series exists.
+func (m *Metrics) table(id int32) *TableMetrics {
+	if ts := *m.tables.Load(); int(id) < len(ts) && ts[id] != nil {
+		return ts[id]
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.tables.Load().(map[string]*TableMetrics)
-	if t := old[name]; t != nil {
-		return t
+	old := *m.tables.Load()
+	if int(id) < len(old) && old[id] != nil {
+		return old[id]
 	}
 	var t *TableMetrics
 	if m.parent != nil {
-		pt := m.parent.Table(name)
+		pt := m.parent.table(id)
 		t = &TableMetrics{Hits: pt.Hits.Shard(), Defaults: pt.Defaults.Shard(), Misses: pt.Misses.Shard()}
 	} else {
+		l := obs.L("table", names()[id])
 		t = &TableMetrics{
-			Hits:     m.reg.Counter("up4_table_hits_total", "Table lookups that matched an entry", obs.L("table", name)),
-			Defaults: m.reg.Counter("up4_table_defaults_total", "Table lookups that ran the default action", obs.L("table", name)),
-			Misses:   m.reg.Counter("up4_table_misses_total", "Table lookups with no match and no default", obs.L("table", name)),
+			Hits:     m.reg.Counter("up4_table_hits_total", "Table lookups that matched an entry", l),
+			Defaults: m.reg.Counter("up4_table_defaults_total", "Table lookups that ran the default action", l),
+			Misses:   m.reg.Counter("up4_table_misses_total", "Table lookups with no match and no default", l),
 		}
 	}
-	next := make(map[string]*TableMetrics, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = t
-	m.tables.Store(next)
+	next := make([]*TableMetrics, max(len(old), int(id)+1))
+	copy(next, old)
+	next[id] = t
+	m.tables.Store(&next)
 	return t
 }
 
@@ -277,11 +284,8 @@ func (m *Metrics) Flow(name string) *FlowMetrics {
 }
 
 // countFlow mirrors a flowtable's statistics into its gauges after a
-// flow operation. Nil-safe.
+// flow operation.
 func (m *Metrics) countFlow(name string, t *flow.Table) {
-	if m == nil {
-		return
-	}
 	f := m.Flow(name)
 	st := t.Stats()
 	f.Entries.Set(int64(t.Len()))
@@ -290,19 +294,31 @@ func (m *Metrics) countFlow(name string, t *flow.Table) {
 	f.Expiries.Set(int64(st.Expiries))
 }
 
-// countTable records one lookup outcome. Nil-safe.
-func (m *Metrics) countTable(name string, outcome LookupOutcome) {
-	if m == nil {
-		return
+// observe tallies one finished record: its table and flowtable steps,
+// its error class, and the per-packet counts — the packet, its rx port
+// and bytes and, when sampled, its latency, whether it ended in
+// outputs, a drop or a typed error.
+func (m *Metrics) observe(r *record, res *ProcResult, err error, elapsed time.Duration) {
+	for i := range r.steps {
+		switch s := &r.steps[i]; s.kind {
+		case stepTable:
+			t := m.table(s.name)
+			switch s.outcome {
+			case LookupHit:
+				t.Hits.Inc()
+			case LookupDefault:
+				t.Defaults.Inc()
+			case LookupMiss:
+				t.Misses.Inc()
+			}
+		case stepFlow:
+			m.countFlow(names()[s.name], r.flows[s.aux])
+		}
 	}
-	t := m.Table(name)
-	switch outcome {
-	case LookupHit:
-		t.Hits.Inc()
-	case LookupDefault:
-		t.Defaults.Inc()
-	case LookupMiss:
-		t.Misses.Inc()
+	m.countError(err)
+	m.countResult(r.inPort, r.pktLen, res)
+	if r.sampled {
+		m.Latency.Observe(uint64(elapsed))
 	}
 }
 
@@ -335,11 +351,9 @@ func (m *Metrics) countError(err error) {
 	}
 }
 
-// countResult records the per-packet tallies shared by both engines.
+// countResult records the per-packet tallies shared by both engines;
+// res is nil for a packet that ended in an error.
 func (m *Metrics) countResult(inPort uint64, pktLen int, res *ProcResult) {
-	if m == nil {
-		return
-	}
 	m.Packets.Inc()
 	in := m.Port(inPort)
 	in.RxPackets.Inc()
@@ -364,10 +378,3 @@ func (m *Metrics) countResult(inPort uint64, pktLen int, res *ProcResult) {
 		out.TxBytes.Add(uint64(len(o.Data)))
 	}
 }
-
-// SetMetrics attaches (or, with nil, detaches) metrics to the executor.
-func (e *Exec) SetMetrics(m *Metrics) { e.metrics = m }
-
-// SetMetrics attaches (or, with nil, detaches) metrics to the
-// interpreter.
-func (ip *Interp) SetMetrics(m *Metrics) { ip.metrics = m }

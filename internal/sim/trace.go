@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,7 @@ import (
 // exposes the equivalent hooks directly.
 type TraceEvent struct {
 	Seq    uint64 `json:"seq"`              // monotonic per-bus sequence number
-	Kind   string `json:"kind"`             // "table", "action", "parser-state", "module", "drop"
+	Kind   string `json:"kind"`             // engines: "table", "parser-state", "module"; other publishers bring their own
 	Module string `json:"module,omitempty"` // emitting module instance path ("" = main)
 	Name   string `json:"name"`             // table/action/state/module name
 	Detail string `json:"detail,omitempty"` // matched action, key values, etc.
@@ -32,8 +31,9 @@ func (e TraceEvent) String() string {
 type Tracer func(TraceEvent)
 
 // Bus is a multi-sink trace event distributor. Emitters check Active()
-// (one atomic load) before even constructing an event, so an idle bus
-// costs nothing on the packet hot path; Publish stamps each event with
+// (one atomic load) before even constructing an event — the engines
+// once per packet, not per site (record.go) — so an idle bus costs
+// nothing on the packet hot path; Publish stamps each event with
 // a monotonic sequence number shared by all subscribers. Subscription
 // management is copy-on-write: Publish never locks.
 type Bus struct {
@@ -117,80 +117,10 @@ func CollectTrace(out *[]TraceEvent) Tracer {
 	}
 }
 
-// JSONTracer returns a tracer writing one JSON object per event to w —
-// a jq-able export of composed-program execution. Writes are serialized
-// by an internal mutex.
-func JSONTracer(w io.Writer) Tracer {
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	return func(e TraceEvent) {
-		mu.Lock()
-		_ = enc.Encode(e)
-		mu.Unlock()
-	}
-}
-
-// Bus returns the executor's event bus.
-func (e *Exec) Bus() *Bus { return e.bus }
-
-// Bus returns the interpreter's event bus.
-func (ip *Interp) Bus() *Bus { return ip.bus }
-
-// SetBus replaces the executor's event bus (e.g. to share one bus — and
-// one sequence numbering — across engines of a switch). Call before
-// SetTracer or Subscribe.
-func (e *Exec) SetBus(b *Bus) {
-	if b != nil {
-		e.bus = b
-	}
-}
-
-// SetBus replaces the interpreter's event bus.
-func (ip *Interp) SetBus(b *Bus) {
-	if b != nil {
-		ip.bus = b
-	}
-}
-
-// SetTracer installs a tracer on the executor, replacing any tracer
-// installed by a previous SetTracer call (nil removes it). It is a
-// convenience wrapper over Bus().Subscribe for the single-sink case.
-func (e *Exec) SetTracer(t Tracer) {
-	if e.traceOff != nil {
-		e.traceOff()
-		e.traceOff = nil
-	}
-	if t != nil {
-		e.traceOff = e.bus.Subscribe(t)
-	}
-}
-
-// SetTracer installs a tracer on the interpreter (see Exec.SetTracer).
-func (ip *Interp) SetTracer(t Tracer) {
-	if ip.traceOff != nil {
-		ip.traceOff()
-		ip.traceOff = nil
-	}
-	if t != nil {
-		ip.traceOff = ip.bus.Subscribe(t)
-	}
-}
-
-// FormatTrace renders events as an indented log.
-func FormatTrace(events []TraceEvent) string {
-	var b strings.Builder
-	for _, e := range events {
-		b.WriteString("  ")
-		b.WriteString(e.String())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // moduleOf derives the emitting module instance from a fully qualified
 // name ("l3_i.ipv4_i.ipv4_lpm_tbl" → "l3_i.ipv4_i"; unprefixed names
-// belong to the main program). Used by the compiled engine, whose table
-// names carry the instance path.
+// belong to the main program): table names carry the instance path on
+// both engines.
 func moduleOf(fq string) string {
 	if i := strings.LastIndexByte(fq, '.'); i >= 0 {
 		return fq[:i]
@@ -198,10 +128,40 @@ func moduleOf(fq string) string {
 	return ""
 }
 
-func keyString(vals []uint64) string {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = fmt.Sprintf("%#x", v)
+// observe is the bus's reading of a finished record: one event per
+// table, parser-state and module step, in execution order, published
+// after the packet's pass. Event text is formatted here — the engines
+// recorded ids and key values — and only for a bus that had a
+// subscriber when the packet began.
+func (b *Bus) observe(r *record) {
+	names := names()
+	for i := range r.steps {
+		s := &r.steps[i]
+		ev := TraceEvent{Name: names[s.name]}
+		switch s.kind {
+		case stepTable:
+			ev.Kind, ev.Module, ev.Detail = "table", moduleOf(ev.Name), "miss (no default)"
+			if s.aux != noName {
+				t := append(r.text[:0], "-> "...)
+				t = append(t, names[s.aux]...)
+				t = append(t, " ("...)
+				for j, v := range r.keys[s.keyOff : s.keyOff+int32(s.keyN)] {
+					if j > 0 {
+						t = append(t, ", "...)
+					}
+					t = append(t, "0x"...)
+					t = strconv.AppendUint(t, v, 16)
+				}
+				r.text = append(t, ')')
+				ev.Detail = string(r.text)
+			}
+		case stepState:
+			ev.Kind, ev.Module = "parser-state", names[s.aux]
+		case stepModule:
+			ev.Kind, ev.Module, ev.Detail = "module", ev.Name, "apply "+names[s.aux]
+		default:
+			continue
+		}
+		b.Publish(ev)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
 }

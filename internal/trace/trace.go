@@ -256,45 +256,6 @@ func ReadJSON(data []byte) ([]*Span, []FaultDump, error) {
 	return doc.Spans, doc.Faults, nil
 }
 
-// Buffer is a per-worker span staging area: spans append locally
-// (no cross-worker contention) and publish to the shared ring in one
-// Flush at the end of the worker's batch — the trace analogue of the
-// obs telemetry shards. A nil or recorder-less buffer no-ops.
-type Buffer struct {
-	r     *Recorder
-	spans []*Span
-}
-
-// NewBuffer returns a staging buffer feeding r (which may be nil).
-func NewBuffer(r *Recorder) *Buffer { return &Buffer{r: r} }
-
-// NextID allocates a fresh id from the underlying recorder. Nil-safe.
-func (b *Buffer) NextID() uint64 {
-	if b == nil || b.r == nil {
-		return 0
-	}
-	return b.r.NextID()
-}
-
-// Add stages one span. Nil-safe.
-func (b *Buffer) Add(s *Span) {
-	if b != nil && b.r != nil && s != nil {
-		b.spans = append(b.spans, s)
-	}
-}
-
-// Flush publishes the staged spans to the ring in order and resets the
-// buffer for reuse. Nil-safe.
-func (b *Buffer) Flush() {
-	if b == nil || b.r == nil {
-		return
-	}
-	for _, s := range b.spans {
-		b.r.Record(s)
-	}
-	b.spans = b.spans[:0]
-}
-
 // HopContext is the trace context a network hands a switch for one hop:
 // which trace the packet belongs to, the span it descends from, where
 // and when it is being processed, and how long it waited in flight

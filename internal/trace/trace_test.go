@@ -47,13 +47,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if len(spans) != 0 || len(faults) != 0 {
 		t.Errorf("nil recorder exported %d spans, %d faults", len(spans), len(faults))
 	}
-
-	var b *Buffer
-	if b.NextID() != 0 {
-		t.Error("nil buffer NextID != 0")
-	}
-	b.Add(span(1, "x"))
-	b.Flush()
 }
 
 func TestNoteFaultPinsRecentAndPacket(t *testing.T) {
@@ -124,27 +117,5 @@ func TestWriteReadJSONRoundTrip(t *testing.T) {
 	}
 	if _, _, err := ReadJSON([]byte("not json")); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestBufferStagesUntilFlush(t *testing.T) {
-	r := NewRecorder(16)
-	b := NewBuffer(r)
-	if b.NextID() == 0 {
-		t.Error("buffer NextID must allocate from the recorder")
-	}
-	b.Add(span(1, "a"))
-	b.Add(span(2, "b"))
-	if r.Len() != 0 {
-		t.Fatal("spans published before Flush")
-	}
-	b.Flush()
-	spans := r.Spans()
-	if len(spans) != 2 || spans[0].Name != "a" || spans[1].Name != "b" {
-		t.Fatalf("flush published %+v, want a then b", spans)
-	}
-	b.Flush() // idempotent on an empty buffer
-	if r.Len() != 2 {
-		t.Error("re-flush duplicated spans")
 	}
 }

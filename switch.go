@@ -1,6 +1,7 @@
 package microp4
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -374,17 +375,72 @@ func (s *Switch) mcPorts(gid uint64) []uint64 {
 // *RecircBudgetError, or errors.Is against the sim.ErrParse ...
 // sim.ErrRecirc class sentinels.
 func (s *Switch) Process(pkt []byte, inPort uint64) ([]Output, error) {
+	outs, _, err := s.processOne(pkt, inPort, trace.HopContext{}, nil)
+	return outs, err
+}
+
+// processOne is Process and ProcessHop: one packet on the next clock
+// tick, traced into rec when there is one, its outputs copied out for
+// the caller and its digests published.
+func (s *Switch) processOne(pkt []byte, inPort uint64, hc trace.HopContext, rec *trace.Recorder) ([]Output, uint64, error) {
 	clock := s.clock.Add(1)
 	if s.metrics != nil {
 		s.metrics.Clock.Set(int64(clock))
 	}
-	outs, digests, err := s.processPacket(pkt, clock, inPort)
-	if len(digests) > 0 {
+	var sp *trace.Span
+	if rec != nil {
+		sp = &trace.Span{TraceID: hc.TraceID, SpanID: rec.NextID(), ParentID: hc.ParentID,
+			Name: hc.Node, Start: hc.Tick, End: hc.Tick}
+	}
+	ob, err := s.ingress(pkt, sim.Metadata{InPort: inPort, InTimestamp: clock,
+		PktLen: uint64(len(pkt)), Qdepth: hc.Qdepth}, sp)
+	var outs []Output
+	if len(ob.outs) > 0 {
+		outs = make([]Output, len(ob.outs))
+		for i, o := range ob.outs {
+			outs[i] = Output{Port: o.Port, Data: append([]byte(nil), o.Data...)}
+		}
+	}
+	if len(ob.digests) > 0 {
 		s.mu.Lock()
-		s.digests = append(s.digests, digests...)
+		s.digests = append(s.digests, ob.digests...)
 		s.mu.Unlock()
 	}
-	return outs, err
+	s.obPool.Put(ob)
+	if sp == nil {
+		return outs, 0, err
+	}
+	rec.Record(sp)
+	if err != nil {
+		var fault *sim.EngineFault
+		if errors.As(err, &fault) {
+			rec.NoteFault(sp, pkt)
+		}
+	}
+	return outs, sp.SpanID, err
+}
+
+// ingress is the one way a packet enters the switch, shared by Process,
+// ProcessHop and ProcessBatch: it runs pkt through the live generation
+// into a pooled outBuf the caller owns. sp, when non-nil, is the
+// caller's span for this hop, identity filled in; ingress hangs the
+// engine's hop detail on it and marks an error that arose above the
+// engine (the recirculation budget, an architecture fault), which the
+// engine's own account cannot show.
+func (s *Switch) ingress(pkt []byte, meta sim.Metadata, sp *trace.Span) (*outBuf, error) {
+	ob := s.getOutBuf()
+	if sp != nil {
+		sp.Kind, sp.InPort, sp.Qdepth, sp.Hop = "hop", meta.InPort, meta.Qdepth, &sim.HopSpan{}
+		meta.Span = sp.Hop
+	}
+	err := s.archLoop(ob, s.live(), pkt, meta)
+	if c := s.canary.Load(); c != nil {
+		c.mirror(pkt, meta, ob, err)
+	}
+	if sp != nil && err != nil {
+		sp.Hop.Disposition, sp.Hop.Err = "error", err.Error()
+	}
+	return ob, err
 }
 
 // outBuf is the pooled per-packet output state of the architecture
@@ -420,40 +476,6 @@ func (ob *outBuf) add(port uint64, data []byte) {
 		ob.bufs = append(ob.bufs, buf)
 	}
 	ob.outs = append(ob.outs, Output{Port: port, Data: buf})
-}
-
-// processPacket runs one packet (with its pre-assigned clock tick)
-// through the architecture loop and returns freshly allocated outputs
-// the caller owns. It is the Process-path wrapper over
-// processPacketInto.
-func (s *Switch) processPacket(pkt []byte, clock, inPort uint64) (outs []Output, digests []uint64, err error) {
-	ob := s.getOutBuf()
-	err = s.processPacketInto(ob, s.live(), pkt,
-		sim.Metadata{InPort: inPort, InTimestamp: clock, PktLen: uint64(len(pkt))})
-	if len(ob.outs) > 0 {
-		outs = make([]Output, len(ob.outs))
-		for i, o := range ob.outs {
-			outs[i] = Output{Port: o.Port, Data: append([]byte(nil), o.Data...)}
-		}
-	}
-	if len(ob.digests) > 0 {
-		digests = append(digests, ob.digests...)
-	}
-	s.obPool.Put(ob)
-	return outs, digests, err
-}
-
-// processPacketInto runs one packet through generation g's architecture
-// loop and, when a shadow canary is active, mirrors the packet through
-// the staged generation and compares the outcomes. The generation is
-// loaded once per packet by the caller — a concurrent cutover is
-// adopted only at the next packet boundary, never mid-recirculation.
-func (s *Switch) processPacketInto(ob *outBuf, g *generation, pkt []byte, meta sim.Metadata) error {
-	err := s.archLoop(ob, g, pkt, meta)
-	if c := s.canary.Load(); c != nil {
-		c.mirror(pkt, meta, ob, err)
-	}
-	return err
 }
 
 // archLoop runs one packet through the architecture loop — engine,
@@ -507,9 +529,6 @@ func (s *Switch) archLoop(ob *outBuf, g *generation, pkt []byte, meta sim.Metada
 			return nil
 		}
 		if final != nil && res.Recirculate {
-			if sp := meta.Span; sp != nil {
-				sp.Recircs++
-			}
 			if pass >= s.MaxRecirculations {
 				// The budget is an architecture drop: typed, and counted
 				// against the drop counters alongside the recirculations
@@ -613,18 +632,13 @@ func newWorkerPool(s *Switch, n int) *workerPool {
 
 func (p *workerPool) work(w int) {
 	for range p.wake {
-		// Worker w counts into telemetry shard w (uncontended per-worker
-		// series, folded back into the switch-wide metrics at scrape
-		// time) and stages spans in its own trace buffer, published to
-		// the shared ring once per batch.
+		// Worker w counts into telemetry shard w: uncontended per-worker
+		// series, folded back into the switch-wide metrics at scrape time.
 		var m *sim.Metrics
 		if p.s.metrics != nil {
 			m = p.s.metrics.Shard(w)
 		}
-		var tb *trace.Buffer
-		if rec := p.s.tracer.Load(); rec != nil {
-			tb = trace.NewBuffer(rec)
-		}
+		rec := p.s.tracer.Load()
 		n := len(p.pkts)
 		for {
 			hi := int(p.next.Add(batchChunk))
@@ -636,10 +650,9 @@ func (p *workerPool) work(w int) {
 				hi = n
 			}
 			for i := lo; i < hi; i++ {
-				p.s.runBatchPacket(p.pkts, p.results, p.base, p.inPort, i, m, tb)
+				p.s.runBatchPacket(p.pkts, p.results, p.base, p.inPort, i, m, rec)
 			}
 		}
-		tb.Flush()
 		p.done.Done()
 	}
 }
@@ -674,35 +687,19 @@ func (s *Switch) getPool(workers int) *workerPool {
 
 // runBatchPacket processes packet i of a batch into results[i],
 // counting into telemetry shard m (nil = the switch-wide series) and
-// staging a hop span in tb when tracing is on (nil = tracing off).
-func (s *Switch) runBatchPacket(pkts [][]byte, results []BatchResult, base, inPort uint64, i int, m *sim.Metrics, tb *trace.Buffer) {
-	ob := s.getOutBuf()
-	meta := sim.Metadata{
-		InPort:      inPort,
-		InTimestamp: base + uint64(i) + 1,
-		PktLen:      uint64(len(pkts[i])),
-		M:           m,
-	}
+// recording a hop span in rec (nil = tracing off).
+func (s *Switch) runBatchPacket(pkts [][]byte, results []BatchResult, base, inPort uint64, i int, m *sim.Metrics, rec *trace.Recorder) {
+	tick := base + uint64(i) + 1
 	var sp *trace.Span
-	if tb != nil {
+	if rec != nil {
 		// Batch packets are self-rooted traces: no network hands them a
 		// context, so the span id doubles as the trace id.
-		sid := tb.NextID()
-		sp = &trace.Span{
-			TraceID: sid, SpanID: sid, Kind: "hop", Name: "batch",
-			Start: meta.InTimestamp, End: meta.InTimestamp,
-			InPort: inPort, Hop: &sim.HopSpan{},
-		}
-		meta.Span = sp.Hop
+		sid := rec.NextID()
+		sp = &trace.Span{TraceID: sid, SpanID: sid, Name: "batch", Start: tick, End: tick}
 	}
-	err := s.processPacketInto(ob, s.live(), pkts[i], meta)
-	if sp != nil {
-		if err != nil {
-			sp.Hop.Disposition = "error"
-			sp.Hop.Err = err.Error()
-		}
-		tb.Add(sp)
-	}
+	ob, err := s.ingress(pkts[i], sim.Metadata{InPort: inPort, InTimestamp: tick,
+		PktLen: uint64(len(pkts[i])), M: m}, sp)
+	rec.Record(sp)
 	results[i] = BatchResult{Out: ob.outs, Err: err, ob: ob}
 }
 
@@ -738,14 +735,10 @@ func (s *Switch) ProcessBatchInto(pkts [][]byte, inPort uint64, results []BatchR
 		}
 		s.getPool(workers).run(pkts, results, base, inPort)
 	} else {
-		var tb *trace.Buffer
-		if rec := s.tracer.Load(); rec != nil {
-			tb = trace.NewBuffer(rec)
-		}
+		rec := s.tracer.Load()
 		for i := range pkts {
-			s.runBatchPacket(pkts, results, base, inPort, i, nil, tb)
+			s.runBatchPacket(pkts, results, base, inPort, i, nil, rec)
 		}
-		tb.Flush()
 	}
 	// Publish digests in packet order.
 	var all []uint64
@@ -783,21 +776,11 @@ func max(a, b int) int {
 	return b
 }
 
-// TraceEvent mirrors the simulator's trace event for the public API.
-// Seq is a monotonic per-switch sequence number; Module is the instance
-// path of the emitting module ("" = the main program), so traces from
-// composed programs (§4) attribute every event to its module.
-type TraceEvent struct {
-	Seq    uint64 `json:"seq"`
-	Kind   string `json:"kind"`
-	Module string `json:"module,omitempty"`
-	Name   string `json:"name"`
-	Detail string `json:"detail,omitempty"`
-}
-
-func wrapEvent(e sim.TraceEvent) TraceEvent {
-	return TraceEvent{Seq: e.Seq, Kind: e.Kind, Module: e.Module, Name: e.Name, Detail: e.Detail}
-}
+// TraceEvent is the simulator's trace event. Seq is a monotonic
+// per-switch sequence number; Module is the instance path of the
+// emitting module ("" = the main program), so traces from composed
+// programs (§4) attribute every event to its module.
+type TraceEvent = sim.TraceEvent
 
 // SetTracer installs a debugging tracer (§8.2): fn receives one event
 // per parser state, module application, and table lookup. Pass nil to
@@ -817,9 +800,10 @@ func (s *Switch) SetTracer(fn func(TraceEvent)) {
 // Subscribe attaches one sink to the switch's trace event bus — both
 // engines publish to it with a shared sequence numbering — and returns
 // a detach function. Any number of sinks may be attached; when none
-// are, tracing costs one atomic load per potential event.
+// are, tracing costs one atomic load per packet. A packet's events are
+// delivered when its pass through the engine is over, in order.
 func (s *Switch) Subscribe(fn func(TraceEvent)) (cancel func()) {
-	return s.bus.Subscribe(func(e sim.TraceEvent) { fn(wrapEvent(e)) })
+	return s.bus.Subscribe(fn)
 }
 
 // EnableMetrics attaches dataplane observability — per-port and

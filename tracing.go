@@ -1,18 +1,13 @@
 package microp4
 
-import (
-	"errors"
-
-	"microp4/internal/sim"
-	"microp4/internal/trace"
-)
+import "microp4/internal/trace"
 
 // SetTracing attaches (or, with nil, detaches) a distributed-tracing
 // flight recorder. With a recorder attached, ProcessHop records one
 // "hop" span per packet — parse/table/deparse detail, disposition, and
-// output ports — and ProcessBatch records the same spans through
-// per-worker staging buffers. Engine faults additionally pin a dump of
-// the faulting packet bytes and the spans leading up to it (see
+// output ports — and ProcessBatch records the same spans, self-rooted.
+// An engine fault under ProcessHop additionally pins a dump of the
+// faulting packet bytes and the spans leading up to it (see
 // trace.Recorder.Faults). With no recorder attached the packet path
 // carries no tracing work beyond one atomic load.
 func (s *Switch) SetTracing(rec *trace.Recorder) { s.tracer.Store(rec) }
@@ -32,59 +27,5 @@ func (s *Switch) Tracing() *trace.Recorder { return s.tracer.Load() }
 // 0). Semantics (clock ticks, digests, recirculation, multicast) are
 // identical to Process either way.
 func (s *Switch) ProcessHop(pkt []byte, inPort uint64, hc trace.HopContext) ([]Output, uint64, error) {
-	rec := s.tracer.Load()
-	clock := s.clock.Add(1)
-	if s.metrics != nil {
-		s.metrics.Clock.Set(int64(clock))
-	}
-	meta := sim.Metadata{
-		InPort:      inPort,
-		InTimestamp: clock,
-		PktLen:      uint64(len(pkt)),
-		Qdepth:      hc.Qdepth,
-	}
-	var sp *trace.Span
-	if rec != nil {
-		sp = &trace.Span{
-			TraceID:  hc.TraceID,
-			SpanID:   rec.NextID(),
-			ParentID: hc.ParentID,
-			Kind:     "hop",
-			Name:     hc.Node,
-			Start:    hc.Tick,
-			End:      hc.Tick,
-			InPort:   inPort,
-			Qdepth:   hc.Qdepth,
-			Hop:      &sim.HopSpan{},
-		}
-		meta.Span = sp.Hop
-	}
-	ob := s.getOutBuf()
-	err := s.processPacketInto(ob, s.live(), pkt, meta)
-	var outs []Output
-	if len(ob.outs) > 0 {
-		outs = make([]Output, len(ob.outs))
-		for i, o := range ob.outs {
-			outs[i] = Output{Port: o.Port, Data: append([]byte(nil), o.Data...)}
-		}
-	}
-	if len(ob.digests) > 0 {
-		s.mu.Lock()
-		s.digests = append(s.digests, ob.digests...)
-		s.mu.Unlock()
-	}
-	s.obPool.Put(ob)
-	if sp == nil {
-		return outs, 0, err
-	}
-	if err != nil {
-		sp.Hop.Disposition = "error"
-		sp.Hop.Err = err.Error()
-	}
-	rec.Record(sp)
-	var fault *sim.EngineFault
-	if errors.As(err, &fault) {
-		rec.NoteFault(sp, pkt)
-	}
-	return outs, sp.SpanID, err
+	return s.processOne(pkt, inPort, hc, s.tracer.Load())
 }
