@@ -191,16 +191,21 @@ func measureExec(t *testing.T, exec *sim.Exec, n int) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
 }
 
-// TestObsOverheadGuard pins what enabled metrics cost with the latency
-// histogram sampled every 256th packet: less than 30% over the
-// metrics-off hot path. A forwarded P4 packet updates twelve counters
-// (seven tables, the packet, rx and tx packets and bytes), one atomic
-// add each, read from the per-packet record when the packet is done —
-// about 125 ns of a 530 ns packet on the 2-core reference box. The
-// bound is relative to a bare path that keeps getting faster, so it
-// leaves room above that; what it catches is a map lookup or a lock
-// per decision site, or an allocation per packet. Several attempts
-// guard against scheduler noise; any one passing attempt suffices.
+// TestObsOverheadGuard pins what enabled metrics cost over the
+// metrics-off hot path with the latency histogram sampled every 256th
+// packet. The bound was 10% when PR 5 wrote it and the path took 1.2 µs.
+// A P4 packet takes about 525 ns now, and the twelve counters a forwarded
+// packet updates (seven tables, the packet, rx and tx packets and bytes)
+// are one locked add each: 70 ns back to back on the 2-core reference
+// box, 13% before anything else. At the commit before this bound the
+// guard read 10–15% in steady state (off 590, on 660) and failed eight
+// runs in fourteen, passing when the metrics-off half came out slow. Here it
+// reads 17–26% (off 525, on 650: the adds, plus filling and replaying the
+// per-packet record, where the old hooks added to a slower bare path), so
+// the bound is 30%; a map lookup, a lock or an allocation per decision
+// site goes well past it. ROADMAP lists re-basing it on paired runs.
+// Several attempts guard against scheduler noise; any one passing
+// attempt suffices.
 func TestObsOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing guard: race detector distorts per-packet cost")

@@ -40,19 +40,6 @@ type cAction struct {
 	body   []stmtFn
 }
 
-// idOr returns the action's interned name; for a lookup that chose an
-// action the program does not have (a is nil) the name it asked for;
-// for a lookup that chose none, noName.
-func (a *cAction) idOr(call *ir.ActionCall) int32 {
-	switch {
-	case a != nil:
-		return a.id
-	case call != nil:
-		return intern(call.Name)
-	}
-	return noName
-}
-
 type compiler struct {
 	e  *Exec
 	sm *mat.SlotMap
@@ -98,7 +85,7 @@ func (e *Exec) compile() {
 	c := &compiler{e: e, sm: sm}
 	e.actions = make(map[string]*cAction, len(e.pl.Actions))
 	for name, act := range e.pl.Actions {
-		ca := &cAction{name: act.Name, id: intern(act.Name)}
+		ca := &cAction{name: act.Name, id: e.tables.syms.intern(act.Name)}
 		for _, p := range act.Params {
 			slot, ok := sm.Scalar(act.Name + "#" + p.Name)
 			if !ok {
@@ -374,7 +361,7 @@ func (c *compiler) flowOp(s *ir.Stmt) stmtFn {
 	}
 	name := c.e.pl.FlowTables[fi].Name
 	tbl := c.e.flows[name]
-	id := intern(name)
+	id := c.e.tables.syms.intern(name)
 	tsSlot := c.e.imInTS
 	if op == "stick" {
 		if len(s.Args) != 8 {
@@ -449,7 +436,7 @@ func (c *compiler) applyTable(name string) stmtFn {
 		keyFns[i] = c.expr(k.Expr)
 		keyWs[i] = orW(k.Expr.Width, 64)
 	}
-	id := intern(name)
+	id := c.e.tables.syms.intern(name)
 	h := c.e.tables.bind(name, def, c.e.actions)
 	return func(st *execState) error {
 		kv := st.keys[:nKeys]
@@ -462,7 +449,11 @@ func (c *compiler) applyTable(name string) stmtFn {
 		}
 		call, act, outcome := h.lookup(kv)
 		if st.rec.on {
-			st.rec.table(id, act.idOr(call), outcome, kv)
+			action := noName // none chosen, or one the program does not have
+			if act != nil {
+				action = act.id
+			}
+			st.rec.table(id, action, outcome, kv)
 		}
 		if call == nil {
 			return nil

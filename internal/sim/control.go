@@ -153,11 +153,8 @@ func (f *frame) applyTable(name string) error {
 		}
 	}
 	if f.r.rec.on {
-		action := noName
-		if call != nil {
-			action = intern(f.qualify(actName))
-		}
-		f.r.rec.table(intern(fq), action, outcome, keyVals)
+		ids := f.r.ip.ids // a miss is noName: no call, or an action the module lacks
+		f.r.rec.table(ids[fq], ids[f.qualify(actName)], outcome, keyVals)
 	}
 	if f.obs != nil {
 		locs := make([]BitLoc, len(def.Keys))
@@ -236,8 +233,8 @@ func (f *frame) callModule(s *ir.Stmt) error {
 		bindings = append(bindings, b)
 	}
 	childInst := f.qualify(s.Instance)
-	if f.r.rec.on {
-		f.r.rec.mark(stepModule, intern(childInst), intern(s.Module))
+	if f.r.rec.bus != nil {
+		f.r.rec.mark(stepModule, f.r.ip.ids[childInst], f.r.ip.ids[s.Module])
 	}
 	// Bind the callee's $im: inherit ours for "$im", or route to a
 	// local im_t copy living in this frame's store.
@@ -417,7 +414,7 @@ func (f *frame) flowOp(s *ir.Stmt) error {
 			SrcPort: vals[4], DstPort: vals[5],
 		}, vals[0], now)
 		if f.r.rec.on {
-			f.r.rec.flow(intern(fq), tbl)
+			f.r.rec.flow(f.r.ip.ids[fq], tbl)
 		}
 		if err := f.assign(s.Args[0].Expr, hit); err != nil {
 			return err
@@ -437,7 +434,7 @@ func (f *frame) flowOp(s *ir.Stmt) error {
 		SrcPort: vals[4], DstPort: vals[5],
 	}, vals[0], now)
 	if f.r.rec.on {
-		f.r.rec.flow(intern(fq), tbl)
+		f.r.rec.flow(f.r.ip.ids[fq], tbl)
 	}
 	return f.assign(s.Args[0].Expr, hit)
 }

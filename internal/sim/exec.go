@@ -141,7 +141,7 @@ func (r *ProcResult) Release() {
 // indefinitely and let the GC have it.
 func (e *Exec) Process(pkt []byte, meta Metadata) (res *ProcResult, err error) {
 	st := e.getState()
-	st.rec.begin(&e.observers, meta, len(pkt))
+	st.rec.begin(&e.observers, e.tables, meta, len(pkt))
 	defer st.finish(&res, &err)
 	defer recoverFault("compiled", &res, &err)
 	st.buf = append(st.buf, pkt...)

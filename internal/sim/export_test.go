@@ -20,3 +20,7 @@ func (e *Exec) PooledObservers() (m *Metrics, span *HopSpan, bus *Bus, ok bool) 
 	}
 	return st.rec.m, st.rec.span, st.rec.bus, true
 }
+
+// NameCount is how many names the engines built over t have interned
+// for their per-packet records.
+func (t *Tables) NameCount() int { return len(*t.syms.names.Load()) }

@@ -39,7 +39,7 @@ func (h *HopSpan) observe(r *record, res *ProcResult, err error, elapsed time.Du
 	h.ExecNs += elapsed.Nanoseconds()
 	h.ParseNs += r.stageNs[stageParse]
 	h.DeparseNs += r.stageNs[stageDeparse]
-	names := names()
+	names := r.names()
 	for i := range r.steps {
 		s := &r.steps[i]
 		if s.kind != stepTable {
@@ -48,11 +48,7 @@ func (h *HopSpan) observe(r *record, res *ProcResult, err error, elapsed time.Du
 		if h.Tables == nil {
 			h.Tables = make([]TableStep, 0, len(r.steps)-i)
 		}
-		ts := TableStep{Table: names[s.name], Outcome: s.outcome.String()}
-		if s.aux != noName {
-			ts.Action = names[s.aux]
-		}
-		h.Tables = append(h.Tables, ts)
+		h.Tables = append(h.Tables, TableStep{Table: names[s.name], Outcome: s.outcome.String(), Action: names[s.aux]})
 	}
 	switch {
 	case err != nil:

@@ -66,14 +66,44 @@ type Interp struct {
 	regsMu sync.Mutex             // guards the regs and flows maps (lazy allocation)
 	regs   map[string][]uint64    // register state, persistent across packets
 	flows  map[string]*flow.Table // flowtable state, persistent across packets
+	ids    map[string]int32       // record ids by qualified name, fixed by NewInterp; a miss is noName
 	observers
 }
 
 // NewInterp returns an interpreter over a linked program sharing the
 // given control-plane state.
 func NewInterp(l *linker.Linked, t *Tables) *Interp {
-	return &Interp{linked: l, tables: t, observers: observers{bus: NewBus()},
-		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table)}
+	ip := &Interp{linked: l, tables: t, observers: observers{bus: NewBus()},
+		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table), ids: make(map[string]int32)}
+	ip.internNames(l.Main, "")
+	return ip
+}
+
+// internNames gives an id to every name a record of this interpreter
+// can hold: walking the instance tree from prog at inst, the tables,
+// actions and extern instances by the qualified names the compiled
+// engine knows them by, parser states, and the module instances.
+func (ip *Interp) internNames(prog *ir.Program, inst string) {
+	f := &frame{inst: inst}
+	add := func(name string) { ip.ids[name] = ip.tables.syms.intern(name) }
+	add(prog.Name)
+	for name := range prog.Tables {
+		add(f.qualify(name))
+	}
+	for name := range prog.Actions {
+		add(f.qualify(name))
+	}
+	if prog.Parser != nil {
+		for _, st := range prog.Parser.States {
+			add(prog.Name + "." + st.Name)
+		}
+	}
+	for _, in := range prog.Instances {
+		add(f.qualify(in.Name))
+		if callee := ip.linked.Modules[in.Module]; callee != nil {
+			ip.internNames(callee, f.qualify(in.Name))
+		}
+	}
 }
 
 // Register returns a register array's cells (allocated on first access),
@@ -220,7 +250,7 @@ func (ip *Interp) process(pkt []byte, meta Metadata, obs *runObs) (res *ProcResu
 		result: &ProcResult{},
 		obs:    obs,
 	}
-	r.rec.begin(&ip.observers, meta, len(pkt))
+	r.rec.begin(&ip.observers, ip.tables, meta, len(pkt))
 	defer func() { r.rec.finish(res, err) }()
 	defer recoverFault("reference", &res, &err)
 	buf := &pktBuf{data: append([]byte(nil), pkt...)}
@@ -280,8 +310,8 @@ func (f *frame) runParser() (accepted bool, err error) {
 			return false, &ParseError{Program: f.prog.Name, State: state.Name,
 				Reason: fmt.Sprintf("did not terminate within %d steps", maxParserSteps)}
 		}
-		if f.r.rec.on {
-			f.r.rec.mark(stepState, intern(f.prog.Name+"."+state.Name), intern(f.inst))
+		if f.r.rec.bus != nil {
+			f.r.rec.mark(stepState, f.r.ip.ids[f.prog.Name+"."+state.Name], f.r.ip.ids[f.inst])
 		}
 		if f.obs != nil {
 			f.emitObs(ObsEvent{Kind: "state", State: state.Name})

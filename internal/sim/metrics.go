@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,9 +45,9 @@ type PortMetrics struct {
 // Metrics is a reader of the per-packet record (record.go): the engines
 // never touch it on the packet path, observe tallies a finished record
 // into it. Per-table counters resolve through a copy-on-write slice
-// indexed by the table's interned id and ports through a copy-on-write
-// map — one atomic load plus an index or a map read, no locks, no
-// allocation once the series exists.
+// indexed by the table's id in the record's name table and ports through
+// a copy-on-write map — one atomic load plus an index or a map read, no
+// locks, no allocation once the series exists.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -77,9 +78,44 @@ type Metrics struct {
 	shards atomic.Value // []*Metrics, parent only
 
 	mu     sync.Mutex
-	tables atomic.Pointer[[]*TableMetrics] // indexed by interned table id
-	ports  atomic.Value                    // map[uint64]*PortMetrics
-	flows  atomic.Value                    // map[string]*FlowMetrics
+	byName map[string]*TableMetrics    // every table series, guarded by mu
+	tables atomic.Pointer[tableSeries] // byName as the packet path reads it
+	ports  cow[uint64, *PortMetrics]
+	flows  cow[string, *FlowMetrics]
+}
+
+// cow is a copy-on-write map for the packet path: all is one atomic load,
+// put republishes a copy and needs its callers serialised. The zero
+// value is empty.
+type cow[K comparable, V any] struct{ p atomic.Pointer[map[K]V] }
+
+func (c *cow[K, V]) all() map[K]V {
+	if p := c.p.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// put publishes a copy with k set to v or, with drop, without k.
+func (c *cow[K, V]) put(k K, v V, drop bool) {
+	next := maps.Clone(c.all())
+	if next == nil {
+		next = make(map[K]V)
+	}
+	if drop {
+		delete(next, k)
+	} else {
+		next[k] = v
+	}
+	c.p.Store(&next)
+}
+
+// tableSeries is the table counters by id for one name table — one
+// generation of a switch; a cut-over to the next starts a new one over
+// the same series.
+type tableSeries struct {
+	syms *symbols
+	byID []*TableMetrics
 }
 
 // sampleLatency reports whether this packet's latency should be timed.
@@ -117,9 +153,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Clock:         reg.Gauge("up4_switch_clock", "Virtual clock of the switch (packets seen)"),
 	}
 	m.SampleEvery.Store(1)
-	m.tables.Store(new([]*TableMetrics))
-	m.ports.Store(map[uint64]*PortMetrics{})
-	m.flows.Store(map[string]*FlowMetrics{})
+	m.byName = map[string]*TableMetrics{}
+	m.tables.Store(new(tableSeries))
 	return m
 }
 
@@ -170,57 +205,59 @@ func (m *Metrics) newShard() *Metrics {
 		Latency:       m.Latency.Shard(),
 		Clock:         m.Clock,
 	}
-	s.tables.Store(new([]*TableMetrics))
-	s.ports.Store(map[uint64]*PortMetrics{})
-	s.flows.Store(map[string]*FlowMetrics{})
+	s.byName = map[string]*TableMetrics{}
+	s.tables.Store(new(tableSeries))
 	return s
 }
 
 // Table returns the counters of a fully qualified table, creating them
 // on first use. On a shard view the counters are per-worker children of
 // the parent's.
-func (m *Metrics) Table(name string) *TableMetrics { return m.table(intern(name)) }
-
-// table is Table by interned id: one atomic load and an index once the
-// series exists.
-func (m *Metrics) table(id int32) *TableMetrics {
-	if ts := *m.tables.Load(); int(id) < len(ts) && ts[id] != nil {
-		return ts[id]
-	}
+func (m *Metrics) Table(name string) *TableMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := *m.tables.Load()
-	if int(id) < len(old) && old[id] != nil {
-		return old[id]
-	}
-	var t *TableMetrics
-	if m.parent != nil {
-		pt := m.parent.table(id)
-		t = &TableMetrics{Hits: pt.Hits.Shard(), Defaults: pt.Defaults.Shard(), Misses: pt.Misses.Shard()}
-	} else {
-		l := obs.L("table", names()[id])
-		t = &TableMetrics{
-			Hits:     m.reg.Counter("up4_table_hits_total", "Table lookups that matched an entry", l),
-			Defaults: m.reg.Counter("up4_table_defaults_total", "Table lookups that ran the default action", l),
-			Misses:   m.reg.Counter("up4_table_misses_total", "Table lookups with no match and no default", l),
+	t := m.byName[name]
+	if t == nil {
+		if m.parent != nil {
+			pt := m.parent.Table(name)
+			t = &TableMetrics{Hits: pt.Hits.Shard(), Defaults: pt.Defaults.Shard(), Misses: pt.Misses.Shard()}
+		} else {
+			l := obs.L("table", name)
+			t = &TableMetrics{
+				Hits:     m.reg.Counter("up4_table_hits_total", "Table lookups that matched an entry", l),
+				Defaults: m.reg.Counter("up4_table_defaults_total", "Table lookups that ran the default action", l),
+				Misses:   m.reg.Counter("up4_table_misses_total", "Table lookups with no match and no default", l),
+			}
 		}
+		m.byName[name] = t
 	}
-	next := make([]*TableMetrics, max(len(old), int(id)+1))
-	copy(next, old)
-	next[id] = t
-	m.tables.Store(&next)
 	return t
+}
+
+// resolve returns the by-id view extended with table id of syms; a view
+// of another name table is started over.
+func (m *Metrics) resolve(syms *symbols, id int32) *tableSeries {
+	names := *syms.names.Load()
+	t := m.Table(names[id])
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next := &tableSeries{syms: syms, byID: make([]*TableMetrics, len(names))}
+	if old := m.tables.Load(); old.syms == syms {
+		copy(next.byID, old.byID)
+	}
+	next.byID[id] = t
+	m.tables.Store(next)
+	return next
 }
 
 // Port returns the counters of a port, creating them on first use.
 func (m *Metrics) Port(port uint64) *PortMetrics {
-	if p := m.ports.Load().(map[uint64]*PortMetrics)[port]; p != nil {
+	if p := m.ports.all()[port]; p != nil {
 		return p
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.ports.Load().(map[uint64]*PortMetrics)
-	if p := old[port]; p != nil {
+	if p := m.ports.all()[port]; p != nil {
 		return p
 	}
 	var p *PortMetrics
@@ -241,12 +278,7 @@ func (m *Metrics) Port(port uint64) *PortMetrics {
 			Drops:     m.reg.Counter("up4_port_drops_total", "Packets received on this port that were dropped", l),
 		}
 	}
-	next := make(map[uint64]*PortMetrics, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[port] = p
-	m.ports.Store(next)
+	m.ports.put(port, p, false)
 	return p
 }
 
@@ -258,13 +290,12 @@ func (m *Metrics) Flow(name string) *FlowMetrics {
 	if m.parent != nil {
 		return m.parent.Flow(name)
 	}
-	if f := m.flows.Load().(map[string]*FlowMetrics)[name]; f != nil {
+	if f := m.flows.all()[name]; f != nil {
 		return f
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.flows.Load().(map[string]*FlowMetrics)
-	if f := old[name]; f != nil {
+	if f := m.flows.all()[name]; f != nil {
 		return f
 	}
 	l := obs.L("table", name)
@@ -274,12 +305,7 @@ func (m *Metrics) Flow(name string) *FlowMetrics {
 		Evictions: m.reg.Gauge("up4_flow_evictions", "Cumulative flow-table capacity evictions", l),
 		Expiries:  m.reg.Gauge("up4_flow_expiries", "Cumulative flow-table TTL expiries", l),
 	}
-	next := make(map[string]*FlowMetrics, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = f
-	m.flows.Store(next)
+	m.flows.put(name, f, false)
 	return f
 }
 
@@ -299,10 +325,14 @@ func (m *Metrics) countFlow(name string, t *flow.Table) {
 // and bytes and, when sampled, its latency, whether it ended in
 // outputs, a drop or a typed error.
 func (m *Metrics) observe(r *record, res *ProcResult, err error, elapsed time.Duration) {
+	ts := m.tables.Load()
 	for i := range r.steps {
 		switch s := &r.steps[i]; s.kind {
 		case stepTable:
-			t := m.table(s.name)
+			if ts.syms != r.syms || int(s.name) >= len(ts.byID) || ts.byID[s.name] == nil {
+				ts = m.resolve(r.syms, s.name)
+			}
+			t := ts.byID[s.name]
 			switch s.outcome {
 			case LookupHit:
 				t.Hits.Inc()
@@ -312,7 +342,7 @@ func (m *Metrics) observe(r *record, res *ProcResult, err error, elapsed time.Du
 				t.Misses.Inc()
 			}
 		case stepFlow:
-			m.countFlow(names()[s.name], r.flows[s.aux])
+			m.countFlow(r.names()[s.name], r.flows[s.aux])
 		}
 	}
 	m.countError(err)

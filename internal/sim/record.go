@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"microp4/internal/flow"
@@ -13,44 +14,41 @@ import (
 // each its observe method's turn (metrics.go, hopspan.go, trace.go) —
 // so the three views derive from one account and cannot disagree.
 
-// symtab interns the names a record refers to (tables, actions, parser
-// states, module instances, flowtables). It is process-wide and
-// append-only: an id means the same to both engines, every generation
-// of a switch and every Metrics shard, so per-table counters live in a
-// slice indexed by it. The compiled engine interns at NewExec, the
-// reference interpreter — as with its registers — on first use.
-var symtab = struct {
-	sync.RWMutex
-	ids  map[string]int32
-	strs []string
-}{ids: make(map[string]int32)}
-
-// noName is the id of "no name": the action of a lookup that missed.
-const noName int32 = -1
-
-func intern(s string) int32 {
-	symtab.RLock()
-	id, ok := symtab.ids[s]
-	symtab.RUnlock()
-	if ok {
-		return id
-	}
-	symtab.Lock()
-	defer symtab.Unlock()
-	if id, ok := symtab.ids[s]; ok {
-		return id
-	}
-	id = int32(len(symtab.strs))
-	symtab.strs = append(symtab.strs, s)
-	symtab.ids[s] = id
-	return id
+// symbols is the name table of one generation of a switch: the tables,
+// actions, parser states, module instances and flowtables a record
+// refers to, by dense integer id. It hangs on the Tables both engines of
+// the generation share, so an id means the same to either and to every
+// Metrics shard, and it dies with them. Engines intern when they are
+// built (NewExec, NewInterp); the packet path only carries ids.
+type symbols struct {
+	mu    sync.Mutex
+	ids   map[string]int32
+	names atomic.Pointer[[]string] // append-only: a loaded view stays valid
 }
 
-// names returns the id → name view; every id issued so far indexes it.
-func names() []string {
-	symtab.RLock()
-	defer symtab.RUnlock()
-	return symtab.strs
+// noName is the id of "": no action (a lookup that chose none, or one the
+// program does not have) and the main program's instance path. A map of
+// ids misses to it.
+const noName int32 = 0
+
+// newSymbols returns a name table holding noName.
+func newSymbols() *symbols {
+	s := &symbols{ids: map[string]int32{"": noName}}
+	s.names.Store(&[]string{""})
+	return s
+}
+
+func (s *symbols) intern(name string) int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok := s.ids[name]
+	if !ok {
+		names := append(*s.names.Load(), name)
+		s.names.Store(&names)
+		id = int32(len(names) - 1)
+		s.ids[name] = id
+	}
+	return id
 }
 
 // observers is what attaches to an engine: a trace event bus (idle
@@ -128,7 +126,8 @@ type record struct {
 	on   bool // anyone watching this packet? Decided once, by begin.
 	m    *Metrics
 	span *HopSpan
-	bus  *Bus // non-nil only if a subscriber was attached at begin
+	bus  *Bus     // non-nil only if a subscriber was attached at begin
+	syms *symbols // what the step ids mean: the engine's Tables' name table
 
 	inPort  uint64
 	pktLen  int
@@ -147,7 +146,8 @@ type record struct {
 // begin decides who watches this packet: the engine's metrics or the
 // shard in meta.M, the span in meta.Span, the bus if it has a subscriber
 // now. With none the record stays off and a site costs a branch on r.on.
-func (r *record) begin(o *observers, meta Metadata, pktLen int) {
+// t is the engine's Tables.
+func (r *record) begin(o *observers, t *Tables, meta Metadata, pktLen int) {
 	m, bus := o.metrics, o.bus
 	if meta.M != nil {
 		m = meta.M
@@ -159,7 +159,7 @@ func (r *record) begin(o *observers, meta Metadata, pktLen int) {
 	if !r.on {
 		return
 	}
-	r.m, r.span, r.bus = m, meta.Span, bus
+	r.m, r.span, r.bus, r.syms = m, meta.Span, bus, t.syms
 	r.inPort, r.pktLen = meta.InPort, pktLen
 	r.steps, r.keys, r.flows = r.steps[:0], r.keys[:0], r.flows[:0]
 	r.sampled = m.sampleLatency()
@@ -179,7 +179,8 @@ func (r *record) table(name, action int32, outcome LookupOutcome, keys []uint64)
 	r.steps = append(r.steps, s)
 }
 
-// mark records a parser state entered or a module applied.
+// mark records a parser state entered or a module applied, the steps
+// only the bus reads: sites call it behind r.bus != nil.
 func (r *record) mark(kind stepKind, name, aux int32) {
 	r.steps = append(r.steps, step{kind: kind, name: name, aux: aux})
 }
@@ -189,6 +190,9 @@ func (r *record) flow(name int32, ft *flow.Table) {
 	r.steps = append(r.steps, step{kind: stepFlow, name: name, aux: int32(len(r.flows))})
 	r.flows = append(r.flows, ft)
 }
+
+// names returns the id → name view of the record's steps.
+func (r *record) names() []string { return *r.syms.names.Load() }
 
 // enter switches the stage wall time is charged to; only a hop span
 // reads stage times.

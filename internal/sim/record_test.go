@@ -93,6 +93,73 @@ func TestErroredPacketIsObserved(t *testing.T) {
 	}
 }
 
+// TestNamesInternedAtBuild pins where record ids come from: NewExec and
+// NewInterp intern every name their records can hold, so packets — also
+// ones that hit an entry naming an action the program does not have —
+// add none, whoever watches.
+func TestNamesInternedAtBuild(t *testing.T) {
+	e := buildEngines(t, "P4")
+	ws := watch(e)
+	built := e.composedTables.NameCount()
+	traffic := append(perf.Traffic(), wrongArity(e),
+		pkt.NewBuilder().Ethernet(lib.DmacA, 2, pkt.EtherTypeIPv4).
+			IPv4(pkt.IPv4Opts{TTL: 64, Protocol: 6, Src: 1, Dst: lib.NetB | 1}).TCP(1, 80).Bytes())
+	e.composedTables.AddEntry("forward_tbl", []sim.RuntimeKey{sim.Exact(lib.NhB)}, "no_such_action")
+	for _, w := range ws {
+		unknown := 0
+		for i, p := range traffic {
+			span := &sim.HopSpan{}
+			_, err := w.process(p, sim.Metadata{InPort: 1, Span: span})
+			if err == nil || !strings.Contains(err.Error(), "unknown action") {
+				continue
+			}
+			unknown++
+			if last := span.Tables[len(span.Tables)-1]; last.Outcome != "hit" || last.Action != "" {
+				t.Errorf("%s: packet %d: %v, but the span's last step is %+v", w.name, i, err, last)
+			}
+		}
+		if unknown == 0 {
+			t.Errorf("%s: no packet hit the entry with the unknown action", w.name)
+		}
+	}
+	if got := e.composedTables.NameCount(); got != built || built == 0 {
+		t.Errorf("%d names after traffic, %d when the engines were built", got, built)
+	}
+}
+
+// TestTableSeriesOutliveNameTable pins what a cut-over relies on: table
+// ids are per generation (per Tables), the series are per name, so one
+// Metrics counting for engines of two name tables in turn — ids that
+// mean different tables — keeps every series right.
+func TestTableSeriesOutliveNameTable(t *testing.T) {
+	m := sim.NewMetrics(obs.NewRegistry())
+	want := tally{}
+	for round := 0; round < 3; round++ {
+		for _, prog := range []string{"P4", "P1"} {
+			e := buildEngines(t, prog)
+			e.exec.SetMetrics(m)
+			for _, p := range perf.TrafficFor(prog) {
+				span := &sim.HopSpan{}
+				res, err := e.exec.Process(p, sim.Metadata{InPort: 1, Span: span})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Release()
+				for _, s := range span.Tables {
+					want[[2]string{s.Table, s.Outcome}]++
+				}
+			}
+		}
+	}
+	for key, n := range want {
+		tm := m.Table(key[0])
+		got := map[string]uint64{"hit": tm.Hits.Value(), "default": tm.Defaults.Value(), "miss": tm.Misses.Value()}[key[1]]
+		if got != uint64(n) {
+			t.Errorf("counter %v = %d, spans tallied %d", key, got, n)
+		}
+	}
+}
+
 // tally counts table decisions by table and a second label.
 type tally map[[2]string]int
 

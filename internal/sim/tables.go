@@ -95,11 +95,12 @@ type Tables struct {
 	mu     sync.Mutex
 	tables map[string]*tableState
 	seq    int
+	syms   *symbols // the names the engines' per-packet records use (record.go)
 }
 
 // NewTables returns empty control-plane state.
 func NewTables() *Tables {
-	return &Tables{tables: make(map[string]*tableState)}
+	return &Tables{tables: make(map[string]*tableState), syms: newSymbols()}
 }
 
 // state returns the named table's state, creating it on first use.

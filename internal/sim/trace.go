@@ -37,22 +37,17 @@ type Tracer func(TraceEvent)
 // a monotonic sequence number shared by all subscribers. Subscription
 // management is copy-on-write: Publish never locks.
 type Bus struct {
-	active atomic.Int32 // subscriber count, for the fast-path check
 	seq    atomic.Uint64
-	subs   atomic.Value // map[int]Tracer, copy-on-write
-	mu     sync.Mutex   // guards subscription changes
+	subs   cow[int, Tracer]
+	mu     sync.Mutex // guards subscription changes
 	nextID int
 }
 
 // NewBus returns an empty bus.
-func NewBus() *Bus {
-	b := &Bus{}
-	b.subs.Store(map[int]Tracer{})
-	return b
-}
+func NewBus() *Bus { return &Bus{} }
 
 // Active reports whether any subscriber is attached. Nil-safe.
-func (b *Bus) Active() bool { return b != nil && b.active.Load() != 0 }
+func (b *Bus) Active() bool { return b != nil && len(b.subs.all()) != 0 }
 
 // Publish stamps e with the next sequence number and delivers it to
 // every subscriber. No-op when the bus is nil or has no subscribers.
@@ -61,7 +56,7 @@ func (b *Bus) Publish(e TraceEvent) {
 		return
 	}
 	e.Seq = b.seq.Add(1)
-	for _, fn := range b.subs.Load().(map[int]Tracer) {
+	for _, fn := range b.subs.all() {
 		fn(e)
 	}
 }
@@ -77,32 +72,12 @@ func (b *Bus) Subscribe(t Tracer) (cancel func()) {
 	defer b.mu.Unlock()
 	id := b.nextID
 	b.nextID++
-	old := b.subs.Load().(map[int]Tracer)
-	next := make(map[int]Tracer, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	b.subs.put(id, t, false)
+	return func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.subs.put(id, nil, true)
 	}
-	next[id] = t
-	b.subs.Store(next)
-	b.active.Store(int32(len(next)))
-	return func() { b.unsubscribe(id) }
-}
-
-func (b *Bus) unsubscribe(id int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	old := b.subs.Load().(map[int]Tracer)
-	if _, ok := old[id]; !ok {
-		return
-	}
-	next := make(map[int]Tracer, len(old)-1)
-	for k, v := range old {
-		if k != id {
-			next[k] = v
-		}
-	}
-	b.subs.Store(next)
-	b.active.Store(int32(len(next)))
 }
 
 // CollectTrace returns a tracer appending into a slice. The append is
@@ -134,16 +109,19 @@ func moduleOf(fq string) string {
 // recorded ids and key values — and only for a bus that had a
 // subscriber when the packet began.
 func (b *Bus) observe(r *record) {
-	names := names()
+	names := r.names()
 	for i := range r.steps {
 		s := &r.steps[i]
 		ev := TraceEvent{Name: names[s.name]}
 		switch s.kind {
 		case stepTable:
 			ev.Kind, ev.Module, ev.Detail = "table", moduleOf(ev.Name), "miss (no default)"
-			if s.aux != noName {
-				t := append(r.text[:0], "-> "...)
-				t = append(t, names[s.aux]...)
+			if s.outcome != LookupMiss {
+				action := "?" // one the program does not have
+				if s.aux != noName {
+					action = names[s.aux]
+				}
+				t := append(append(r.text[:0], "-> "...), action...)
 				t = append(t, " ("...)
 				for j, v := range r.keys[s.keyOff : s.keyOff+int32(s.keyN)] {
 					if j > 0 {
