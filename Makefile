@@ -24,6 +24,7 @@ bench-suite:
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProcess$$' -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzFlowBucket -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzTableIndex -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzBitAccess -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 20s ./internal/wire

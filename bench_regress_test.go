@@ -144,9 +144,13 @@ func TestExecHotPathNoAlloc(t *testing.T) {
 					}
 					sw.Digests()
 				}
-				// A few warm-up batches settle the outBuf pool across all
-				// workers before AllocsPerRun's own warm-up run measures.
-				for i := 0; i < 4; i++ {
+				// Warm-up batches settle the outBuf pool before AllocsPerRun's
+				// own warm-up run measures. A pooled buffer grows the first
+				// time it carries a program's longest output, and a parallel
+				// batch hands buffers to packets in a different order every
+				// time: with a third of P10's packets the long kind, 32
+				// batches leave a buffer ungrown with probability 2e-6.
+				for i := 0; i < 32; i++ {
 					runBatch()
 				}
 				allocs := testing.AllocsPerRun(50, runBatch)

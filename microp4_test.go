@@ -12,6 +12,13 @@ import (
 
 func compileLib(t testing.TB, prog string) *microp4.Dataplane {
 	t.Helper()
+	return compileLibEdited(t, prog, func(src string) string { return src })
+}
+
+// compileLibEdited is compileLib with every source file (main and
+// modules) passed through edit first.
+func compileLibEdited(t testing.TB, prog string, edit func(src string) string) *microp4.Dataplane {
+	t.Helper()
 	m, err := lib.Program(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -20,7 +27,7 @@ func compileLib(t testing.TB, prog string) *microp4.Dataplane {
 	if err != nil {
 		t.Fatal(err)
 	}
-	main, err := microp4.CompileModule(m.MainFile, src)
+	main, err := microp4.CompileModule(m.MainFile, edit(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +37,7 @@ func compileLib(t testing.TB, prog string) *microp4.Dataplane {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, err := microp4.CompileModule(name+".up4", msrc)
+		mod, err := microp4.CompileModule(name+".up4", edit(msrc))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

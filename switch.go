@@ -1,10 +1,13 @@
 package microp4
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"microp4/internal/flow"
 	"microp4/internal/obs"
@@ -80,12 +83,12 @@ type Switch struct {
 	metrics  *sim.Metrics
 	traceOff func() // SetTracer's current subscription
 
-	mu       sync.Mutex // guards mcGroups, digests, and wpool
+	mu       sync.Mutex // guards mcGroups and digests
 	mcGroups map[uint64][]uint64
 	digests  []uint64
 
-	obPool sync.Pool   // *outBuf: pooled per-packet output state
-	wpool  *workerPool // persistent ProcessBatch workers (nil until parallel)
+	obPool sync.Pool  // *outBuf: pooled per-packet output state
+	pool   workerPool // parallel ProcessBatch state (idle until SetWorkers(n>1))
 	tracer atomic.Pointer[trace.Recorder]
 
 	// MaxRecirculations bounds the recirculation loop (default 4).
@@ -579,14 +582,16 @@ func (r *BatchResult) Release() {
 	ob.s.obPool.Put(ob)
 }
 
-// SetWorkers sets how many goroutines ProcessBatch may use (values
-// below 2 select the serial path, the default). Per-packet engine state
-// lives in per-worker pools and table lookups go through the same
-// internally synchronized Tables state as Process, so worker mode is
-// safe against concurrent control-plane updates. Safe to call between
-// batches, and from other goroutines. The first parallel batch starts a
-// persistent worker pool whose goroutines live for the life of the
-// switch (parallel batches are serialized over it; serial batches and
+// SetWorkers sets how many goroutines a ProcessBatch call may run on,
+// the caller's included (values below 2 select the serial path, the
+// default). Per-packet engine state is goroutine-local, table lookups
+// read the generation's lock-free index, and flow tables keep their
+// lock, so a parallel batch is safe against concurrent control-plane
+// updates and cutovers. Safe to call between batches, and from other
+// goroutines. A parallel batch starts the n-1 helper goroutines it
+// finds missing; they outlive the call, exit once no batch has come for
+// helperIdle, and so never pin a switch that is no longer used
+// (parallel batches are serialized over them; serial batches and
 // Process stay fully concurrent).
 func (s *Switch) SetWorkers(n int) {
 	if n < 1 {
@@ -595,94 +600,240 @@ func (s *Switch) SetWorkers(n int) {
 	s.workers.Store(int32(n))
 }
 
-// batchChunk is the work-stealing granularity of parallel ProcessBatch:
-// coarse enough to amortize the atomic claim, fine enough to balance
-// skewed per-packet costs.
-const batchChunk = 64
+// The tuning of the parallel batch path, fixed by measurement on
+// flow_batch (256-packet batches, two workers, two cores; the runs are
+// in CHANGES.md under PR 16).
+const (
+	// bucketsPerWorker sizes the unit of work: a batch is split into
+	// workers × bucketsPerWorker flow buckets, each claimed whole. Every
+	// bucket boundary shifts the workers' phase against each other, and
+	// with it the odds that two of them meet at a flow table's one lock,
+	// where the loser is parked for ~90 µs: 1–2 ran 890–900 k packets/s,
+	// 4 ran 845 k, 8 ran 740 k (a stateless program gains ~4 % from 1 to
+	// 6). 2 leaves a late helper's share stealable in halves.
+	bucketsPerWorker = 2
+	// minParallelBatch is the batch size below which the caller runs the
+	// batch alone: a parked helper joins 50–150 µs late, by which time
+	// the caller is through some 64 packets.
+	minParallelBatch = 64
+	// helperSpin is how long after a batch a helper polls for the next
+	// before it parks: longer than the gap a busy caller leaves between
+	// two batches, so that back-to-back batches pay for no wake-up.
+	helperSpin = 200 * time.Microsecond
+	// helperIdle is how long a parked helper waits before it exits.
+	helperIdle = 250 * time.Millisecond
+)
 
-// workerPool is the persistent parallel-batch engine: n goroutines
-// blocked on wake, a per-batch job described by the fields below, and
-// atomic chunk claiming. Keeping the goroutines across batches (rather
-// than spawning per batch) is what makes the parallel hot path
-// allocation-free.
+// workerPool is the parallel-batch state of a switch: one job at a
+// time, split by flowBucket into index lists that the calling goroutine
+// and the helpers claim whole and run in index order. Every bucket can
+// be claimed by anyone, so the caller finishes whatever a late helper
+// never reached, and two packets of one flow are always run by one
+// goroutine in slice order.
 type workerPool struct {
-	s    *Switch
-	n    int
-	wake chan struct{}
-	done sync.WaitGroup
+	mu      sync.Mutex // serializes batches; guards helpers, starts, seq
+	helpers []*helper  // grows to the widest SetWorkers seen, less one
+	starts  int        // helper goroutines started, ever
+	seq     uint32     // number of the batch in flight
 
-	mu sync.Mutex // serializes batches over the pool
-	// Per-batch job state: written by run() before waking workers, read
-	// by workers only after the channel receive (happens-before), and
-	// cleared before run() returns.
+	// The job. Written by the caller before it publishes next; a worker
+	// reads it only between claiming a bucket and counting it finished,
+	// which is when the caller cannot have moved on.
 	pkts    [][]byte
 	results []BatchResult
 	base    uint64
 	inPort  uint64
-	next    atomic.Int64
+	buckets [][]int32 // packet indices per flow bucket, reused across batches
+
+	next    atomic.Uint64 // seq<<32 | buckets not yet claimed
+	pending atomic.Int32  // buckets not yet finished
 }
 
-func newWorkerPool(s *Switch, n int) *workerPool {
-	p := &workerPool{s: s, n: n, wake: make(chan struct{}, n)}
-	for w := 0; w < n; w++ {
-		go p.work(w)
-	}
-	return p
+// helper is one helper goroutine's slot. The caller moves it from
+// exited or parked to running; the helper parks and exits itself.
+type helper struct {
+	state  atomic.Int32  // helperExited, helperRunning or helperParked
+	unpark chan struct{} // one token per parked → running
 }
 
-func (p *workerPool) work(w int) {
-	for range p.wake {
-		// Worker w counts into telemetry shard w: uncontended per-worker
-		// series, folded back into the switch-wide metrics at scrape time.
-		var m *sim.Metrics
-		if p.s.metrics != nil {
-			m = p.s.metrics.Shard(w)
+const (
+	helperExited int32 = iota
+	helperRunning
+	helperParked
+)
+
+// claim takes the next unclaimed bucket of batch seq, or reports that
+// the batch has none left. A worker that fell behind finds a later seq
+// in next and can claim nothing: it never touches another batch's job.
+func (p *workerPool) claim(seq uint32) ([]int32, bool) {
+	for {
+		v := p.next.Load()
+		if uint32(v>>32) != seq || uint32(v) == 0 {
+			return nil, false
 		}
-		rec := p.s.tracer.Load()
-		n := len(p.pkts)
-		for {
-			hi := int(p.next.Add(batchChunk))
-			lo := hi - batchChunk
-			if lo >= n {
-				break
-			}
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				p.s.runBatchPacket(p.pkts, p.results, p.base, p.inPort, i, m, rec)
-			}
+		if p.next.CompareAndSwap(v, v-1) {
+			return p.buckets[uint32(v)-1], true
 		}
-		p.done.Done()
 	}
 }
 
-func (p *workerPool) run(pkts [][]byte, results []BatchResult, base, inPort uint64) {
+// drain runs buckets of batch seq as worker w until none is left to
+// claim. Worker w counts into telemetry shard w: uncontended per-worker
+// series, folded back into the switch-wide metrics at scrape time.
+func (s *Switch) drain(seq uint32, w int) {
+	p := &s.pool
+	bucket, ok := p.claim(seq)
+	if !ok {
+		return
+	}
+	m, rec := s.metrics.Shard(w), s.tracer.Load()
+	for ; ok; bucket, ok = p.claim(seq) {
+		for _, i := range bucket {
+			s.runBatchPacket(p.pkts, p.results, p.base, p.inPort, int(i), m, rec)
+		}
+		p.pending.Add(-1)
+	}
+}
+
+// help is helper w's life: join every batch it sees published, poll for
+// helperSpin after the last one ended, park for helperIdle, exit. A
+// helper that parks just as a batch is published misses that batch and
+// is woken by the next — the caller drains either way.
+func (s *Switch) help(w int, h *helper) {
+	p := &s.pool
+	idle := time.NewTimer(helperIdle)
+	defer idle.Stop()
+	var seen uint32
+	for since := time.Now(); ; runtime.Gosched() {
+		switch seq := uint32(p.next.Load() >> 32); {
+		case seq != seen:
+			seen = seq
+			if w < int(s.workers.Load()) {
+				s.drain(seq, w)
+			}
+			since = time.Now()
+		case p.pending.Load() != 0:
+			since = time.Now() // others are still inside the batch
+		case time.Since(since) >= helperSpin:
+			// go.mod's go 1.22 keeps the unsynchronized timer channel:
+			// empty it before Reset.
+			if !idle.Stop() {
+				select {
+				case <-idle.C:
+				default:
+				}
+			}
+			idle.Reset(helperIdle)
+			h.state.Store(helperParked)
+			select {
+			case <-h.unpark:
+			case <-idle.C:
+				if h.state.CompareAndSwap(helperParked, helperExited) {
+					return
+				}
+				<-h.unpark // a batch took this helper as the timer fired
+			}
+			since = time.Now()
+		}
+	}
+}
+
+// dispatch splits pkts by flow into the first nb bucket lists, each in
+// slice order.
+func (p *workerPool) dispatch(pkts [][]byte, nb int) {
+	for len(p.buckets) < nb {
+		p.buckets = append(p.buckets, nil)
+	}
+	for b := range p.buckets[:nb] {
+		p.buckets[b] = p.buckets[b][:0]
+	}
+	byIndex := dispatchMutation == 1
+	for i, pkt := range pkts {
+		b := flowBucket(pkt, nb)
+		if byIndex {
+			b = i % nb
+		}
+		p.buckets[b] = append(p.buckets[b], int32(i))
+	}
+}
+
+// runParallel runs one batch on the calling goroutine and workers-1
+// helpers: dispatch by flow, publish, wake or start the helpers that
+// are not polling, work, and wait for the buckets others took.
+func (s *Switch) runParallel(pkts [][]byte, results []BatchResult, base, inPort uint64, workers int) {
+	p := &s.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	nb := workers * bucketsPerWorker
+	p.dispatch(pkts, nb)
 	p.pkts, p.results, p.base, p.inPort = pkts, results, base, inPort
-	p.next.Store(0)
-	p.done.Add(p.n)
-	for w := 0; w < p.n; w++ {
-		p.wake <- struct{}{}
+	p.seq++
+	p.pending.Store(int32(nb))
+	p.next.Store(uint64(p.seq)<<32 | uint64(nb))
+	for len(p.helpers) < workers-1 {
+		p.helpers = append(p.helpers, &helper{unpark: make(chan struct{}, 1)})
 	}
-	p.done.Wait()
+	for i, h := range p.helpers[:workers-1] {
+		if h.state.CompareAndSwap(helperParked, helperRunning) {
+			h.unpark <- struct{}{}
+		} else if h.state.CompareAndSwap(helperExited, helperRunning) {
+			p.starts++
+			go s.help(i+1, h)
+		}
+	}
+	s.drain(p.seq, 0)
+	for p.pending.Load() != 0 {
+		runtime.Gosched() // a helper is inside its last bucket
+	}
 	p.pkts, p.results = nil, nil
 }
 
-// getPool returns the switch's persistent worker pool, (re)building it
-// when the requested width changed. An abandoned pool's goroutines
-// drain their channel and exit.
-func (s *Switch) getPool(workers int) *workerPool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wpool == nil || s.wpool.n != workers {
-		if s.wpool != nil {
-			close(s.wpool.wake)
-		}
-		s.wpool = newWorkerPool(s, workers)
+// dispatchMutation is a test hook that breaks the dispatch on purpose,
+// so the per-flow order tests can show they bite: 1 keys buckets by
+// packet index instead of by flow. Only tests set it.
+var dispatchMutation int
+
+// flowBucket maps a frame to one of nb flow buckets: the architecture's
+// receive-side scaling. It hashes the wire 5-tuple — IPv4/IPv6
+// addresses, plus L4 ports under TCP and UDP — or, for anything else,
+// MACs and ethertype, with the two endpoints combined commutatively so
+// both directions of a flow share a bucket. A frame shorter than an
+// Ethernet header goes to bucket 0. It reads no byte past the L4 ports
+// and is deliberately not derived from a program's flowtable keys
+// (NAT64 passes computed addresses): where a packet runs is a matter of
+// locality and order, never of correctness.
+func flowBucket(pkt []byte, nb int) int {
+	if len(pkt) < 14 {
+		return 0
 	}
-	return s.wpool
+	be := binary.BigEndian
+	proto := uint64(be.Uint16(pkt[12:]))
+	var src, dst uint64
+	l4 := 0
+	switch {
+	case proto == 0x0800 && len(pkt) >= 34:
+		src, dst = uint64(be.Uint32(pkt[26:])), uint64(be.Uint32(pkt[30:]))
+		proto, l4 = uint64(pkt[23]), 14+int(pkt[14]&0xF)*4
+	case proto == 0x86DD && len(pkt) >= 54:
+		src = mix64(be.Uint64(pkt[22:])) ^ be.Uint64(pkt[30:])
+		dst = mix64(be.Uint64(pkt[38:])) ^ be.Uint64(pkt[46:])
+		proto, l4 = uint64(pkt[20]), 54
+	default:
+		src, dst = be.Uint64(pkt[4:])&(1<<48-1), be.Uint64(pkt)>>16
+	}
+	if (proto == 6 || proto == 17) && l4 > 0 && len(pkt) >= l4+4 {
+		src ^= uint64(be.Uint16(pkt[l4:])) << 48
+		dst ^= uint64(be.Uint16(pkt[l4+2:])) << 48
+	}
+	h := mix64(mix64(src) + mix64(dst) + proto)
+	return int((h >> 32) * uint64(nb) >> 32)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
 }
 
 // runBatchPacket processes packet i of a batch into results[i],
@@ -729,11 +880,8 @@ func (s *Switch) ProcessBatchInto(pkts [][]byte, inPort uint64, results []BatchR
 		results = make([]BatchResult, n)
 	}
 	base := s.clock.Add(uint64(n)) - uint64(n)
-	if workers := int(s.workers.Load()); workers > 1 {
-		if workers > n {
-			workers = n
-		}
-		s.getPool(workers).run(pkts, results, base, inPort)
+	if workers := int(s.workers.Load()); workers > 1 && n >= minParallelBatch {
+		s.runParallel(pkts, results, base, inPort, workers)
 	} else {
 		rec := s.tracer.Load()
 		for i := range pkts {
@@ -767,13 +915,6 @@ func (s *Switch) process(g *generation, pkt []byte, meta sim.Metadata) (*sim.Pro
 			Reason: fmt.Sprintf("engine unavailable: %v (use EngineReference)", g.dp.res.ComposeErr)}
 	}
 	return g.exec.Process(pkt, meta)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TraceEvent is the simulator's trace event. Seq is a monotonic
