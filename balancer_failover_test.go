@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"microp4"
 	"microp4/internal/ctrlplane"
 	"microp4/internal/golden"
 	"microp4/internal/issu"
@@ -240,10 +239,12 @@ func p11Modules(t testing.TB) []issu.Module {
 
 // TestBalancerUpgradeCanary is the second acceptance scenario: the live
 // load balancer upgrades in service to P11 v2 over the same lossy
-// links, with VIP traffic pumping through the shadow canary. The
-// upgrade must commit, and the pinned flows must survive BOTH the
-// generation cutover and a post-cutover pool churn — the stick values
-// ride the flow-state carry.
+// links, with VIP traffic pumping through the shadow canary, and while
+// the canary runs a 2PC pool churn commits over its own lossy channel.
+// The upgrade must commit; afterwards the pinned flows must keep their
+// backends — the stick values ride the shared flowtable — and fresh
+// flows must follow the churned pool, which the new generation sees
+// because it reads the switch's one table state.
 func TestBalancerUpgradeCanary(t *testing.T) {
 	for _, seed := range lbSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -251,17 +252,21 @@ func TestBalancerUpgradeCanary(t *testing.T) {
 			dp := compileLib(t, "P11")
 			n := netsim.New(seed)
 			metrics := issu.NewMetrics(obs.NewRegistry())
+			cmetrics := ctrlplane.NewMetrics(obs.NewRegistry())
 			sw := dp.NewSwitch()
 			installLibRules(sw, "P11")
 			agent := issu.NewAgent("lb", sw, issu.AgentConfig{
 				UpgradePort: 9,
-				Upgrader:    issu.UpgraderConfig{Metrics: metrics, Bus: n.Bus(), Now: n.Now},
+				Inner: ctrlplane.NewAgent(sw, ctrlplane.AgentConfig{
+					Name: "lb", CtrlPort: 8, Metrics: cmetrics, Bus: n.Bus(),
+				}),
+				Upgrader: issu.UpgraderConfig{Metrics: metrics, Bus: n.Bus(), Now: n.Now},
 			})
 			if err := n.AddSwitch("lb", agent); err != nil {
 				t.Fatal(err)
 			}
 			coord, err := issu.NewCoordinator(n, "coord", issu.CoordinatorConfig{
-				Seed: seed, CanaryN: 24, Metrics: metrics,
+				Seed: seed, CanaryN: 64, Metrics: metrics,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -272,6 +277,16 @@ func TestBalancerUpgradeCanary(t *testing.T) {
 			if err := n.Connect("coord", 1, "lb", 9, netsim.FaultModel{
 				Drop: 0.10, Duplicate: 0.05, Reorder: 0.05,
 			}); err != nil {
+				t.Fatal(err)
+			}
+			client, err := ctrlplane.NewClient(n, "ctrl", ctrlplane.Config{Seed: seed, Metrics: cmetrics})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := client.AddPeer("lb", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Connect("ctrl", 1, "lb", 8, lbFaults); err != nil {
 				t.Fatal(err)
 			}
 			run := func() {
@@ -298,15 +313,25 @@ func TestBalancerUpgradeCanary(t *testing.T) {
 			}
 
 			// Timer-driven VIP traffic keeps the canary fed while the
-			// coordinated upgrade rides the lossy channel.
+			// coordinated upgrade rides the lossy channel; the first tick
+			// that finds the canary running starts the pool churn.
 			var upErr error
-			upDone := false
+			var churn *ctrlplane.TxnResult
+			upDone, churnStarted, churnWhileStaged := false, false, false
 			stopped := false
 			i := 0
 			var tick func()
 			tick = func() {
 				if stopped || i >= 5000 {
 					return
+				}
+				if !churnStarted && sw.CanaryStatus().Active {
+					churnStarted = true
+					if err := client.Transaction(lbChurnPlan("lb"), func(r ctrlplane.TxnResult) {
+						churn, churnWhileStaged = &r, sw.StagedGeneration() != 0
+					}); err != nil {
+						t.Fatal(err)
+					}
 				}
 				_ = n.Inject("lb", 0, lbClientPkt(i%clients))
 				i++
@@ -326,6 +351,12 @@ func TestBalancerUpgradeCanary(t *testing.T) {
 			if upErr != nil {
 				t.Fatalf("clean P11 upgrade aborted: %v", upErr)
 			}
+			if churn == nil || !churn.Committed || len(churn.PeerErrs) != 0 {
+				t.Fatalf("pool churn did not commit cleanly: %+v", churn)
+			}
+			if !churnWhileStaged {
+				t.Fatal("pool churn committed after the cutover, not during the canary")
+			}
 			if gen := sw.Generation(); gen != 2 {
 				t.Errorf("live generation %d after cutover, want 2", gen)
 			}
@@ -338,17 +369,11 @@ func TestBalancerUpgradeCanary(t *testing.T) {
 				t.Errorf("post-cutover generation lacks the v2 prio_tbl: %v", err)
 			}
 
-			// Churn the pool on the NEW generation, then replay every
-			// established flow: the carried flow state must keep ≥99% of
-			// them on their original backends.
-			sw.ClearTable("bal_i.bucket_tbl")
-			for b := uint64(0); b < 8; b++ {
-				sw.AddEntry("bal_i.bucket_tbl",
-					[]microp4.Key{microp4.Exact(1), microp4.Exact(b)},
-					"bal_i.pick", (b+1)%lib.NumBackends+1)
-			}
+			// Replay every established flow and as many fresh ones: the
+			// established keep their backends (≥99%), the fresh follow
+			// the pool the churn installed during the canary.
 			before := len(n.Egress("lb"))
-			for i := 0; i < clients; i++ {
+			for i := 0; i < 2*clients; i++ {
 				if err := n.Inject("lb", 0, lbClientPkt(i)); err != nil {
 					t.Fatal(err)
 				}
@@ -356,7 +381,12 @@ func TestBalancerUpgradeCanary(t *testing.T) {
 			run()
 			sticky := 0
 			for _, d := range n.Egress("lb")[before:] {
-				if lbDstOf(d.Data) == pinned[lbSrcOf(d.Data)] {
+				src := lbSrcOf(d.Data)
+				if i := int(src&0xFFFFFF) - 1; i >= clients {
+					if got, want := lbDstOf(d.Data), lbExpectedBackend(i, 1); got != want {
+						t.Errorf("fresh client %d landed on %08x, the churned pool predicts %08x", i, got, want)
+					}
+				} else if lbDstOf(d.Data) == pinned[src] {
 					sticky++
 				}
 			}

@@ -1,11 +1,17 @@
 package microp4
 
+import "microp4/internal/sim"
+
 // InstallUnchecked installs a table entry without consulting the control
 // schema, for tests of how the dataplane fails on state the schema would
 // have refused.
 func (s *Switch) InstallUnchecked(table string, keys []Key, action string, args ...uint64) {
-	s.live().tables.AddEntry(table, toRuntime(keys), action, args...)
+	s.tables.AddEntry(table, toRuntime(keys), action, args...)
 }
+
+// TableEntries returns a table's runtime entries, for tests that
+// compare the control state of two switches.
+func (s *Switch) TableEntries(table string) []sim.RuntimeEntry { return s.tables.Entries(table) }
 
 // The parallel batch path's internals, for the dispatcher and pool tests.
 var FlowBucket = flowBucket

@@ -2,9 +2,12 @@ package microp4
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"microp4/internal/equiv"
+	"microp4/internal/flow"
+	"microp4/internal/ir"
 	"microp4/internal/sim"
 )
 
@@ -27,14 +30,16 @@ func (s *Switch) StagedGeneration() uint64 {
 	return 0
 }
 
-// StageGeneration builds a new generation from dp — fresh engines,
-// fresh extern state — and stages it without touching live traffic.
-// Control-plane table state is carried over verbatim: entries naming
-// tables the new program does not declare sit inert, entries naming
-// actions it dropped surface as typed TableErrors on match (which the
-// canary reports as a divergence). Flow state is carried at CutOver,
-// not here, so it is current at adoption time. At most one generation
-// may be staged; errors are *UpgradeError.
+// StageGeneration builds a generation for dp — a fresh engine with
+// zeroed registers — and stages it without touching live traffic. It
+// copies no state: the staged engine reads the switch's one table state,
+// and a flowtable declared as the live program declares it (path and
+// flowtable(size, idleTTL, estTTL)) is the live instance. Entries naming
+// tables dp does not declare sit inert; entries naming actions it
+// dropped surface as typed TableErrors on match. A table dp declares
+// with a new key shape gets its own index in the shared table state
+// (sim.Tables.bind), which outlives an abort. At most one generation may
+// be staged; errors are *UpgradeError.
 func (s *Switch) StageGeneration(dp *Dataplane) (uint64, error) {
 	if dp == nil {
 		return 0, &UpgradeError{Phase: "stage", Reason: "nil dataplane"}
@@ -45,12 +50,36 @@ func (s *Switch) StageGeneration(dp *Dataplane) (uint64, error) {
 				Reason: fmt.Sprintf("program has no compiled pipeline: %v", cerr)}
 		}
 	}
-	g := s.newGeneration(dp)
-	g.tables.Restore(s.live().tables.Snapshot())
+	g := s.newGeneration(dp, s.genSeq.Add(1), flowTablesFor(dp, s.live()))
 	if !s.staged.CompareAndSwap(nil, g) {
 		return 0, &UpgradeError{Phase: "stage", Reason: "a generation is already staged"}
 	}
 	return g.seq, nil
+}
+
+// flowDecls returns dp's flowtable declarations (none without a
+// compiled pipeline).
+func flowDecls(dp *Dataplane) []ir.Instance {
+	if pl := dp.res.Pipeline; pl != nil {
+		return pl.FlowTables
+	}
+	return nil
+}
+
+// flowTablesFor returns the flowtables a generation of dp runs on: a
+// flowtable prev declares identically (same path, same flowtable(size,
+// idleTTL, estTTL)) is prev's instance, adopted by pointer, and any
+// other is new and empty. prev is nil for a switch's first generation.
+func flowTablesFor(dp *Dataplane, prev *generation) map[string]*flow.Table {
+	flows := make(map[string]*flow.Table)
+	for _, d := range flowDecls(dp) {
+		if prev != nil && slices.Contains(flowDecls(prev.dp), d) {
+			flows[d.Name] = prev.flows[d.Name]
+		} else {
+			flows[d.Name] = flow.New(d.Size, d.IdleTTL, d.EstTTL)
+		}
+	}
+	return flows
 }
 
 // AbortStaged discards the staged generation and any running canary,
@@ -71,14 +100,14 @@ type CanaryStatus struct {
 	Reason    string // first divergence, "" while clean
 }
 
-// canaryState mirrors live packets through the staged generation and
-// compares the outcomes. A mutex serializes shadow processing: the
-// staged generation is a single shadow stream regardless of how many
-// goroutines drive the live side. With no canary installed the packet
-// path pays one atomic load.
+// canaryState mirrors live packets through a shadow of the staged
+// program — its own engine over the shared tables and private
+// flowtables, so mirroring never writes live flow state — and compares
+// the outcomes. A mutex serializes shadow processing into one stream.
+// With no canary installed the packet path pays one atomic load.
 type canaryState struct {
-	s *Switch
-	g *generation // the staged (shadow) generation
+	s      *Switch
+	shadow *generation // the staged program over private flowtables
 
 	mu        sync.Mutex
 	remaining int64
@@ -89,13 +118,13 @@ type canaryState struct {
 }
 
 // StartCanary starts mirroring the next n live packets through the
-// staged generation, byte-comparing outputs, digests, error classes,
-// and flow-table mutations after each. The shadow's flow state is
-// seeded from the live tables so both generations judge packets from
-// the same base. The canary is sound when packets are processed one at
-// a time (the netsim/Process path); under parallel batches interleaving
-// can produce spurious divergence, which fails in the safe direction —
-// rollback.
+// staged program, byte-comparing outputs, digests, error classes, and
+// flow-table mutations after each. Once it holds the switch's one canary
+// slot it builds the shadow, seeding its flowtables from the live ones so
+// both judge packets from the same base; packets arriving meanwhile wait.
+// The canary is sound when packets are processed one at a time (the
+// netsim/Process path); under parallel batches interleaving can produce
+// spurious divergence, which fails in the safe direction — rollback.
 func (s *Switch) StartCanary(n int) error {
 	g := s.staged.Load()
 	if g == nil {
@@ -104,23 +133,20 @@ func (s *Switch) StartCanary(n int) error {
 	if n <= 0 {
 		return &UpgradeError{Phase: "canary", Gen: g.seq, Reason: "mirror budget must be positive"}
 	}
-	live := s.live()
-	c := &canaryState{s: s, g: g, remaining: int64(n)}
-	if pl := g.dp.res.Pipeline; pl != nil {
-		for i := range pl.FlowTables {
-			path := pl.FlowTables[i].Name
-			lft := s.flowTable(live, path)
-			sft := s.flowTable(g, path)
-			if lft == nil || sft == nil {
-				continue // flowtable new in (or dropped by) this program
-			}
-			sft.RestoreSnapshot(lft.Snapshot())
-			c.paths = append(c.paths, path)
-		}
-	}
+	c := &canaryState{s: s, remaining: int64(n)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !s.canary.CompareAndSwap(nil, c) {
 		return &UpgradeError{Phase: "canary", Gen: g.seq, Reason: "a canary is already running"}
 	}
+	live, flows := s.live(), flowTablesFor(g.dp, nil)
+	for _, d := range flowDecls(g.dp) {
+		if lft := live.flows[d.Name]; lft != nil {
+			flows[d.Name].RestoreSnapshot(lft.Snapshot())
+			c.paths = append(c.paths, d.Name)
+		}
+	}
+	c.shadow = s.newGeneration(g.dp, g.seq, flows)
 	return nil
 }
 
@@ -160,10 +186,10 @@ func (c *canaryState) status() CanaryStatus {
 	return st
 }
 
-// mirror replays one live packet through the shadow generation and
-// compares the architecture-level outcomes plus the flow-table
-// mutations. Called from ingress with the live result already
-// in hand; the live packet's fate is never affected.
+// mirror replays one live packet through the shadow and compares the
+// architecture-level outcomes plus the flow-table mutations. Called from
+// ingress with the live result already in hand; the live packet's fate
+// is never affected.
 func (c *canaryState) mirror(pkt []byte, meta sim.Metadata, live *outBuf, liveErr error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -173,12 +199,12 @@ func (c *canaryState) mirror(pkt []byte, meta sim.Metadata, live *outBuf, liveEr
 	c.mirrored++
 	c.remaining--
 	// The shadow run is invisible to telemetry: no hop span, no
-	// per-worker metrics shard (and the staged engines carry no metrics
-	// until adoption).
+	// per-worker metrics shard (and the shadow engine carries no
+	// metrics).
 	meta.Span = nil
 	meta.M = nil
 	ob := c.s.getOutBuf()
-	shadowErr := c.s.archLoop(ob, c.g, pkt, meta)
+	shadowErr := c.s.archLoop(ob, c.shadow, pkt, meta)
 	d := equiv.FirstOutcomeDiff(outcomeOf(live, liveErr), outcomeOf(ob, shadowErr))
 	c.s.obPool.Put(ob)
 	if d == "" {
@@ -207,19 +233,13 @@ func outcomeOf(ob *outBuf, err error) equiv.Outcome {
 	return o
 }
 
-// flowDiff compares the live and shadow generations' flow tables:
-// entry count, then key/state/expiry per entry in insertion order.
-// Sync marks are replication bookkeeping, not program behavior, and are
-// ignored.
+// flowDiff compares the live flowtables with the shadow's: entry count,
+// then key/state/expiry per entry in insertion order. Sync marks are
+// replication bookkeeping, not program behavior, and are ignored.
 func (c *canaryState) flowDiff() string {
 	live := c.s.live()
 	for _, path := range c.paths {
-		lft := c.s.flowTable(live, path)
-		sft := c.s.flowTable(c.g, path)
-		if lft == nil || sft == nil {
-			continue
-		}
-		le, se := lft.Entries(), sft.Entries()
+		le, se := live.flows[path].Entries(), c.shadow.flows[path].Entries()
 		if len(le) != len(se) {
 			return fmt.Sprintf("flowtable %s: %d vs %d entries", path, len(le), len(se))
 		}
@@ -233,12 +253,12 @@ func (c *canaryState) flowDiff() string {
 	return ""
 }
 
-// CutOver atomically adopts the staged generation: the flow state is
-// re-snapshotted from the live tables (so it is current at adoption,
-// regardless of how long ago the canary seeded its shadow copy), the
-// switch's metrics attach to the new engines, and the generation
-// pointer swings — in-flight packets finish on the old generation, the
-// next packet boundary adopts the new one. A diverged canary refuses
+// CutOver atomically adopts the staged generation: the switch's metrics
+// attach to its engine and the generation pointer swings — in-flight
+// packets finish on the old generation, the next packet boundary adopts
+// the new one. Tables and adopted flowtables are already the live ones,
+// so no write and no learn into them is lost; only a flowtable whose
+// declaration changed is copied over. A diverged canary refuses
 // the cutover with a typed *UpgradeError; a clean or absent canary is
 // detached. Registers are not carried (they belong to the packets, not
 // the controller — the same contract as Checkpoint).
@@ -256,15 +276,9 @@ func (s *Switch) CutOver() (uint64, error) {
 		s.canary.Store(nil)
 	}
 	live := s.live()
-	if pl := live.dp.res.Pipeline; pl != nil {
-		for i := range pl.FlowTables {
-			path := pl.FlowTables[i].Name
-			lft := s.flowTable(live, path)
-			sft := s.flowTable(g, path)
-			if lft == nil || sft == nil {
-				continue
-			}
-			sft.RestoreSnapshot(lft.Snapshot())
+	for path, ft := range g.flows {
+		if old := live.flows[path]; old != nil && old != ft {
+			ft.RestoreSnapshot(old.Snapshot())
 		}
 	}
 	s.attachMetrics(g)

@@ -2,8 +2,11 @@ package microp4_test
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"microp4"
@@ -300,6 +303,53 @@ func TestConcurrentCutoverRace(t *testing.T) {
 			t.Fatalf("post-race packet %d not new-generation output", i)
 		}
 	}
+
+	// The learning race: first packets of new flows, in 32-packet batches
+	// on 4 workers, race CutOver until it returns. Every flow they learned
+	// must be in the live flowtable afterwards — the set a serial twin
+	// learns from the same batches. 2 048 established flows give a cutover
+	// that copied flow state something to copy. At most 256 packets run,
+	// less than the idle TTL, so no learned flow ages out.
+	const rounds, established = 10, 2048
+	lost := 0
+	for r := 0; r < rounds; r++ {
+		sw, twin := setup(), setup()
+		establishFlows(t, sw, established)
+		establishFlows(t, twin, established)
+		if _, err := sw.StageGeneration(buildV2(t, true)); err != nil {
+			t.Fatal(err)
+		}
+		sw.SetWorkers(4)
+		var done atomic.Bool
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sw.CutOver(); err != nil {
+				t.Error(err)
+			}
+			done.Store(true)
+		}()
+		var sent [][][]byte
+		for k := 0; k < 8 && (k == 0 || !done.Load()); k++ {
+			learn := make([][]byte, 32)
+			for i := range learn {
+				learn[i] = genFwd(established + 32*k + i)
+			}
+			sw.ProcessBatch(learn, lib.PortA)
+			sent = append(sent, learn)
+		}
+		wg.Wait()
+		for _, learn := range sent {
+			twin.ProcessBatch(learn, lib.PortA)
+		}
+		if a, b := flowSet(sw), flowSet(twin); !slices.Equal(a, b) {
+			lost++
+			t.Logf("round %d: %d flow entries after the racing cutover, the serial twin has %d", r, len(a), len(b))
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d cutovers racing a learning batch lost learned flows", lost, rounds)
+	}
 }
 
 // TestGenerationHotPathNoAlloc extends the zero-alloc pin to the
@@ -354,4 +404,149 @@ func TestGenerationHotPathNoAlloc(t *testing.T) {
 		t.Fatal("cutover did not adopt the staged generation")
 	}
 	measure("adopted")
+}
+
+// flowSet is the firewall's flowtable as a sorted set of (Key, State,
+// Val, Expire) lines: the parallel batch path learns flows in an order
+// that depends on worker interleaving, so only the set is comparable.
+func flowSet(sw *microp4.Switch) []string {
+	var out []string
+	for _, e := range sw.FlowTable("fs_i.conn").Entries() {
+		out = append(out, fmt.Sprintf("%+v %d %d %d", e.Key, e.State, e.Val, e.Expire))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestUpgradeTwin takes a P9 switch through two in-service upgrades
+// (P9 → P9 v2 → P9) with control writes, a Checkpoint→Restore and flow
+// learns made while a generation is staged or canaried, and with
+// batches racing the stage and cutover steps. The upgraded switch must
+// end up equal to a twin that saw the same writes and packets but was
+// never upgraded: the same table entries, the same flow entries, and
+// the same outputs for the next 64 packets. Both programs behave alike,
+// so any difference is state the upgrade lost. The first round is the
+// plainest form of the bug this pins: clear every table while a
+// generation is staged, cut over, and the upgraded switch must drop
+// what the twin drops.
+func TestUpgradeTwin(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { upgradeTwin(t, workers) })
+	}
+}
+
+func upgradeTwin(t *testing.T, workers int) {
+	const established = 8
+	dp, v2 := compileLib(t, "P9"), buildV2(t, false)
+	up, twin := dp.NewSwitch(), dp.NewSwitch()
+	both := func(f func(sw *microp4.Switch)) { f(up); f(twin) }
+	both(func(sw *microp4.Switch) {
+		installLibRules(sw, "P9")
+		sw.SetWorkers(workers)
+		establishFlows(t, sw, established)
+	})
+	// Each batch refreshes the established flows and learns 32 new ones
+	// on the inside port; the twin's outputs are the reference.
+	next := established
+	batch := func(label string, step func() error) {
+		t.Helper()
+		var pkts [][]byte
+		for i := 0; i < 32; i++ {
+			pkts = append(pkts, genFwd(i%established), genFwd(next+i))
+		}
+		next += 32
+		var err error
+		var wg sync.WaitGroup
+		if step != nil {
+			wg.Add(1)
+			go func() { defer wg.Done(); err = step() }()
+		}
+		got := up.ProcessBatch(pkts, lib.PortA)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for i, want := range twin.ProcessBatch(pkts, lib.PortA) {
+			if outSig(got[i].Out) != outSig(want.Out) || (got[i].Err == nil) != (want.Err == nil) {
+				t.Fatalf("%s: packet %d: upgraded %s/%v, twin %s/%v",
+					label, i, outSig(got[i].Out), got[i].Err, outSig(want.Out), want.Err)
+			}
+		}
+	}
+	stage := func(d *microp4.Dataplane) func() error {
+		return func() error { _, err := up.StageGeneration(d); return err }
+	}
+	cutOver := func() error { _, err := up.CutOver(); return err }
+	canary := func(n int) {
+		t.Helper()
+		if err := up.StartCanary(n); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			both(func(sw *microp4.Switch) { _, _ = sw.Process(genFwd(i%established), lib.PortA) })
+		}
+		if st := up.CanaryStatus(); st.Diverged || !st.Complete {
+			t.Fatalf("canary of a behavior-preserving upgrade: %+v", st)
+		}
+	}
+	same := func(label string) {
+		t.Helper()
+		for _, name := range dp.Tables() {
+			if a, b := fmt.Sprint(up.TableEntries(name)), fmt.Sprint(twin.TableEntries(name)); a != b {
+				t.Fatalf("%s: table %s: upgraded %s, twin %s", label, name, a, b)
+			}
+		}
+		if a, b := flowSet(up), flowSet(twin); !slices.Equal(a, b) {
+			t.Fatalf("%s: flow entries differ: upgraded %d, twin %d\n upgraded %v\n twin     %v",
+				label, len(a), len(b), a, b)
+		}
+	}
+
+	// Round 1, P9 → P9 v2: every table cleared while v2 is staged.
+	batch("stage v2", stage(v2))
+	cps := map[*microp4.Switch]*microp4.Checkpoint{}
+	both(func(sw *microp4.Switch) {
+		cps[sw] = sw.Checkpoint()
+		for _, name := range dp.Tables() {
+			sw.ClearTable(name)
+		}
+	})
+	batch("cutover to v2", cutOver)
+	a, _ := up.Process(genFwd(1), lib.PortA)
+	b, _ := twin.Process(genFwd(1), lib.PortA)
+	if outSig(a) != outSig(b) {
+		t.Fatalf("tables cleared while v2 was staged: upgraded switch sends %q, twin %q", outSig(a), outSig(b))
+	}
+	same("after round 1")
+
+	// Round 2, P9 v2 → P9: the rules come back by Restore while P9 is
+	// staged, a learning batch runs, and a table is rewritten during the
+	// canary.
+	batch("stage P9", stage(dp))
+	both(func(sw *microp4.Switch) { sw.Restore(cps[sw]) })
+	batch("learn while staged", nil)
+	canary(16)
+	both(func(sw *microp4.Switch) {
+		sw.ClearTable("dir_tbl")
+		if err := sw.TryAddEntry("dir_tbl", []microp4.Key{microp4.Exact(lib.PortB)}, "dir_rev"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	batch("cutover to P9", cutOver)
+	if up.Generation() != 3 || up.StagedGeneration() != 0 {
+		t.Fatalf("generation %d, staged %d after two cutovers", up.Generation(), up.StagedGeneration())
+	}
+	same("after round 2")
+	for i := 0; i < 32; i++ {
+		for _, p := range []struct {
+			data []byte
+			port uint64
+		}{{genFwd(i), lib.PortA}, {genRev(i), lib.PortB}} {
+			a, errA := up.Process(p.data, p.port)
+			b, errB := twin.Process(p.data, p.port)
+			if outSig(a) != outSig(b) || (errA == nil) != (errB == nil) {
+				t.Fatalf("probe %d: upgraded %s/%v, twin %s/%v", i, outSig(a), errA, outSig(b), errB)
+			}
+		}
+	}
 }

@@ -141,6 +141,7 @@ type Table struct {
 
 	wheel    [wheelBuckets][]packed
 	wheelNow uint64 // last tick Advance processed
+	dirty    bool   // an entry was indexed since the last clear
 
 	hooks Hooks
 	stats Counters
@@ -227,6 +228,7 @@ func (t *Table) findSlot(k Key) int32 {
 }
 
 func (t *Table) indexInsert(si int32) {
+	t.dirty = true
 	i := t.slots[si].e.Key.hash() & t.mask
 	for t.index[i] != 0 {
 		i = (i + 1) & t.mask
@@ -626,8 +628,16 @@ func (t *Table) RestoreSnapshot(snap *Snapshot) {
 }
 
 // clear drops all entries and rewinds the wheel; the caller holds the
-// lock. Counters and hooks are preserved.
+// lock. Counters and hooks are preserved. A table that indexed nothing
+// since the last clear is still as that clear (or New) left it — every
+// slot free in the same free-list order, the index and the wheel empty —
+// so only the wheel needs rewinding.
 func (t *Table) clear() {
+	t.wheelNow = 0
+	if !t.dirty {
+		return
+	}
+	t.dirty = false
 	for i := range t.slots {
 		t.slots[i] = slot{prev: -1, next: -1, gen: t.slots[i].gen + 1}
 	}
@@ -643,7 +653,6 @@ func (t *Table) clear() {
 	}
 	t.head, t.tail = -1, -1
 	t.n = 0
-	t.wheelNow = 0
 }
 
 // Reset drops all entries and rewinds the wheel. Counters and hooks

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -304,5 +305,62 @@ func BenchmarkAdvance(b *testing.B) {
 		}
 		b.StartTimer()
 		tb.Advance(512)
+	}
+}
+
+// TestResetEqualsNew is the property behind Reset's fast path (an
+// untouched table skips the full clear): after any operation history —
+// empty, insert-free, or growing the table to eviction — Reset leaves a
+// table indistinguishable from a fresh New one, both in its entries and
+// in every result and entry of the operations that follow.
+func TestResetEqualsNew(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 35))
+	for trial := 0; trial < 500; trial++ {
+		size := 1 + rng.IntN(12)
+		used, fresh := New(size, 8, 32), New(size, 8, 32)
+		now := uint64(0)
+		for i, n := 0, rng.IntN(3); i < n; i++ { // 0-2 histories, each reset
+			for j, m := 0, rng.IntN(48); j < m; j++ {
+				resetOp(rng, &now)(used)
+			}
+			used.Reset()
+		}
+		now = 0
+		for j := 0; j < 48; j++ {
+			op := resetOp(rng, &now)
+			if a, b := op(used), op(fresh); a != b {
+				t.Fatalf("trial %d op %d: reset table returned %q, fresh %q", trial, j, a, b)
+			}
+			if a, b := fmt.Sprint(used.Entries(), used.Now()), fmt.Sprint(fresh.Entries(), fresh.Now()); a != b {
+				t.Fatalf("trial %d op %d: reset table holds %s, fresh %s", trial, j, a, b)
+			}
+		}
+	}
+}
+
+// resetOp draws one random table operation over a 6-key domain with a
+// clock that only moves forward, returning its observable result.
+func resetOp(rng *rand.Rand, now *uint64) func(*Table) string {
+	key := k(uint64(rng.IntN(6)), 1, 6, 1, 2)
+	*now += uint64(rng.IntN(4))
+	at, v := *now, uint64(rng.IntN(4))
+	switch rng.IntN(7) {
+	case 0:
+		return func(tb *Table) string { return fmt.Sprint(tb.Upsert(key, v&1, at)) }
+	case 1:
+		return func(tb *Table) string { h, val := tb.Stick(key, v, at); return fmt.Sprint(h, val) }
+	case 2:
+		return func(tb *Table) string {
+			tb.Install(Entry{Key: key, State: uint8(v & 1), Expire: at + 8, Val: v})
+			return ""
+		}
+	case 3:
+		return func(tb *Table) string { tb.Delete(key); return "" }
+	case 4:
+		return func(tb *Table) string { tb.Advance(at); return "" }
+	case 5:
+		return func(tb *Table) string { tb.MarkSynced(key); e, ok := tb.Lookup(key); return fmt.Sprint(e, ok) }
+	default:
+		return func(tb *Table) string { tb.RestoreSnapshot(tb.Snapshot()); return "" }
 	}
 }

@@ -1,8 +1,9 @@
 // Package issu implements in-service program upgrade over the chaos
 // network: a wire protocol that ships a newly composed µP4 program to
 // running switches, a per-switch Upgrader state machine that stages it
-// as a copy-on-write generation, shadow-canaries live traffic through
-// both generations, and either cuts over atomically or rolls back, and
+// as a new generation over the switch's own tables and flow state,
+// shadow-canaries live traffic through it, and either cuts over
+// atomically or rolls back, and
 // a Coordinator that drives the whole upgrade across a switch set with
 // two-phase commit semantics — stage everywhere, canary everywhere,
 // commit only when every canary came back clean.

@@ -38,16 +38,25 @@ type Exec struct {
 }
 
 // NewExec returns an executor for a pipeline sharing control-plane
-// state. The pipeline is slot-compiled here, once.
+// state, with flowtables of its own. The pipeline is slot-compiled
+// here, once.
 func NewExec(pl *mat.Pipeline, t *Tables) *Exec {
+	flows := make(map[string]*flow.Table, len(pl.FlowTables))
+	for _, ft := range pl.FlowTables {
+		flows[ft.Name] = flow.New(ft.Size, ft.IdleTTL, ft.EstTTL)
+	}
+	return NewExecWithFlows(pl, t, flows)
+}
+
+// NewExecWithFlows is NewExec running on the given flowtable instances,
+// one for every flowtable the pipeline declares, by path. The executor
+// reads the map and never writes it, so the caller may share the map
+// and its tables with other executors.
+func NewExecWithFlows(pl *mat.Pipeline, t *Tables, flows map[string]*flow.Table) *Exec {
 	e := &Exec{pl: pl, tables: t, observers: observers{bus: NewBus()},
-		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table)}
+		regs: make(map[string][]uint64), flows: flows}
 	for _, r := range pl.Registers {
 		e.regs[r.Name] = make([]uint64, r.Size)
-	}
-	for i := range pl.FlowTables {
-		ft := &pl.FlowTables[i]
-		e.flows[ft.Name] = flow.New(ft.Size, ft.IdleTTL, ft.EstTTL)
 	}
 	e.compile()
 	return e
@@ -60,15 +69,6 @@ func (e *Exec) Register(path string) []uint64 { return e.regs[path] }
 // nil. Unlike the interpreter's lazy map, compiled flow tables exist
 // from construction (the pipeline declares them all).
 func (e *Exec) FlowTable(path string) *flow.Table { return e.flows[path] }
-
-// FlowTables returns the flowtable instances by fully qualified path.
-func (e *Exec) FlowTables() map[string]*flow.Table {
-	out := make(map[string]*flow.Table, len(e.flows))
-	for k, v := range e.flows {
-		out[k] = v
-	}
-	return out
-}
 
 // ResetFlows clears every flowtable. The equivalence harness calls
 // this before each witness run so all engines start from identical

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
@@ -72,9 +73,15 @@ type Interp struct {
 
 // NewInterp returns an interpreter over a linked program sharing the
 // given control-plane state.
-func NewInterp(l *linker.Linked, t *Tables) *Interp {
+func NewInterp(l *linker.Linked, t *Tables) *Interp { return NewInterpWithFlows(l, t, nil) }
+
+// NewInterpWithFlows is NewInterp starting from the given flowtable
+// instances by path; the interpreter copies the map and allocates any
+// flowtable it lacks on first access, as NewInterp's does.
+func NewInterpWithFlows(l *linker.Linked, t *Tables, flows map[string]*flow.Table) *Interp {
 	ip := &Interp{linked: l, tables: t, observers: observers{bus: NewBus()},
 		regs: make(map[string][]uint64), flows: make(map[string]*flow.Table), ids: make(map[string]int32)}
+	maps.Copy(ip.flows, flows)
 	ip.internNames(l.Main, "")
 	return ip
 }

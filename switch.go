@@ -33,19 +33,20 @@ const (
 	EngineReference
 )
 
-// generation is one immutable copy-on-write configuration of a switch:
-// a compiled dataplane program together with the MAT table state,
-// engine instances, and extern state (registers, flowtables) that
-// execute it. The switch publishes the live generation through an
-// atomic pointer; packet paths load it once per packet, so a cutover is
-// adopted only at packet boundaries and a packet never sees a mix of
-// two programs — the yanet2 cp_config_gen/dp_config pattern.
+// generation is one immutable configuration of a switch: a compiled
+// dataplane program, the one engine that runs it (and that engine's
+// registers), and its flowtables by path — each the previous
+// generation's instance when the declaration carries over. Tables are
+// the switch's. Packet paths load the live generation once per packet,
+// so a cutover is adopted only at packet boundaries and a packet never
+// sees a mix of two programs. The program is versioned and the state is
+// not — the yanet2 cp_config_gen/dp_config pattern.
 type generation struct {
 	seq    uint64 // monotone per-switch generation number (1 = initial)
 	dp     *Dataplane
-	tables *sim.Tables
-	exec   *sim.Exec // nil when the midend produced no compiled pipeline
-	interp *sim.Interp
+	exec   *sim.Exec              // the compiled engine; nil under EngineReference or without a pipeline
+	interp *sim.Interp            // the reference engine; nil under EngineCompiled
+	flows  map[string]*flow.Table // flowtable instances by path, never written after construction
 
 	schemaOnce sync.Once
 	schema     *ControlSchema // nil when the dataplane has no compiled pipeline
@@ -68,11 +69,14 @@ func (g *generation) Schema() *ControlSchema {
 //
 // Concurrency: Process may be called from multiple goroutines, and the
 // control-plane methods (AddEntry, SetDefault, ClearTable,
-// SetMulticastGroup) may race live traffic — per-packet engine state is
-// goroutine-local, table state is internally synchronized, and the
-// switch-level state below (clock, digests, multicast groups) is
-// guarded here. The program itself lives in an immutable generation
-// adopted per packet, so StageGeneration/CutOver may race traffic too.
+// SetMulticastGroup, Checkpoint, Restore) may race live traffic —
+// per-packet engine state is goroutine-local, table and flow state are
+// internally synchronized, and the switch-level state below (clock,
+// digests, multicast groups) is guarded here. The switch owns the table
+// state and, through its generations, the flowtables; the program
+// itself lives in an immutable generation adopted per packet, so
+// StageGeneration/StartCanary/CutOver may race traffic and control
+// writes too, and a staged program sees every write the live one does.
 type Switch struct {
 	engine   Engine
 	gen      atomic.Pointer[generation] // live generation (never nil)
@@ -95,6 +99,7 @@ type Switch struct {
 	MaxRecirculations int
 	clock             atomic.Uint64
 	workers           atomic.Int32 // ProcessBatch parallelism (<=1 = serial)
+	tables            *sim.Tables  // control-plane table state, shared by every generation
 }
 
 // live returns the current generation (never nil after construction).
@@ -115,10 +120,10 @@ func (s *Switch) Digests() []uint64 {
 func (s *Switch) ReadRegister(path string, idx int) (uint64, error) {
 	g := s.live()
 	var cells []uint64
-	if s.engine == EngineReference || g.exec == nil {
+	if g.interp != nil {
 		// Lazily sized on first dataplane access; ask for at least idx+1.
 		cells = g.interp.Register(path, idx+1)
-	} else {
+	} else if g.exec != nil {
 		cells = g.exec.Register(path)
 	}
 	if idx < 0 || idx >= len(cells) {
@@ -131,39 +136,14 @@ func (s *Switch) ReadRegister(path string, idx int) (uint64, error) {
 // fully qualified path, or nil when the program declares none by that
 // name. The ctrlplane replication layer reads and installs entries
 // through it; the dataplane mutates it via ft.upsert.
-func (s *Switch) FlowTable(path string) *flow.Table {
-	return s.flowTable(s.live(), path)
-}
-
-// flowTable resolves a flowtable instance within one generation.
-func (s *Switch) flowTable(g *generation, path string) *flow.Table {
-	pl := g.dp.res.Pipeline
-	if pl == nil {
-		return nil
-	}
-	for i := range pl.FlowTables {
-		ft := &pl.FlowTables[i]
-		if ft.Name != path {
-			continue
-		}
-		if s.engine == EngineReference || g.exec == nil {
-			return g.interp.FlowTable(path, ft.Size, ft.IdleTTL, ft.EstTTL)
-		}
-		return g.exec.FlowTable(path)
-	}
-	return nil
-}
+func (s *Switch) FlowTable(path string) *flow.Table { return s.live().flows[path] }
 
 // FlowTablePaths lists the program's flowtable instances by fully
 // qualified path, in declaration order.
 func (s *Switch) FlowTablePaths() []string {
-	pl := s.live().dp.res.Pipeline
-	if pl == nil {
-		return nil
-	}
-	out := make([]string, 0, len(pl.FlowTables))
-	for i := range pl.FlowTables {
-		out = append(out, pl.FlowTables[i].Name)
+	var out []string
+	for _, d := range flowDecls(s.live().dp) {
+		out = append(out, d.Name)
 	}
 	return out
 }
@@ -175,37 +155,41 @@ func (d *Dataplane) NewSwitch() *Switch { return d.NewSwitchWith(EngineCompiled)
 func (d *Dataplane) NewSwitchWith(engine Engine) *Switch {
 	sw := &Switch{
 		engine:            engine,
+		tables:            sim.NewTables(),
 		bus:               sim.NewBus(),
 		mcGroups:          make(map[uint64][]uint64),
 		MaxRecirculations: 4,
 	}
-	sw.gen.Store(sw.newGeneration(d))
+	sw.gen.Store(sw.newGeneration(d, sw.genSeq.Add(1), flowTablesFor(d, nil)))
 	return sw
 }
 
-// newGeneration builds a fresh generation for dp: new table state, new
-// engine instances, extern state zeroed — wired to the switch's shared
-// trace bus but not to its metrics (a staged generation must not count
-// into the live series; CutOver attaches metrics on adoption).
-func (s *Switch) newGeneration(d *Dataplane) *generation {
-	t := sim.NewTables()
-	g := &generation{seq: s.genSeq.Add(1), dp: d, tables: t,
-		interp: sim.NewInterp(d.res.Linked, t)}
-	g.interp.SetBus(s.bus)
-	if d.res.Pipeline != nil {
-		g.exec = sim.NewExec(d.res.Pipeline, t)
+// newGeneration builds a generation for d: the switch's engine over the
+// switch's tables and the given flowtables, with registers zeroed —
+// wired to the switch's shared trace bus but not to its metrics (a
+// staged generation must not count into the live series; CutOver
+// attaches metrics on adoption).
+func (s *Switch) newGeneration(d *Dataplane, seq uint64, flows map[string]*flow.Table) *generation {
+	g := &generation{seq: seq, dp: d, flows: flows}
+	if s.engine == EngineReference {
+		g.interp = sim.NewInterpWithFlows(d.res.Linked, s.tables, flows)
+		g.interp.SetBus(s.bus)
+	} else if d.res.Pipeline != nil {
+		g.exec = sim.NewExecWithFlows(d.res.Pipeline, s.tables, flows)
 		g.exec.SetBus(s.bus)
 	}
 	return g
 }
 
-// attachMetrics points a generation's engines at the switch's metrics
+// attachMetrics points a generation's engine at the switch's metrics
 // (no-op before EnableMetrics).
 func (s *Switch) attachMetrics(g *generation) {
 	if s.metrics == nil {
 		return
 	}
-	g.interp.SetMetrics(s.metrics)
+	if g.interp != nil {
+		g.interp.SetMetrics(s.metrics)
+	}
 	if g.exec != nil {
 		g.exec.SetMetrics(s.metrics)
 	}
@@ -227,7 +211,7 @@ func (s *Switch) TryAddEntry(table string, keys []Key, action string, args ...ui
 			return err
 		}
 	}
-	s.live().tables.AddEntry(table, toRuntime(keys), action, args...)
+	s.tables.AddEntry(table, toRuntime(keys), action, args...)
 	return nil
 }
 
@@ -238,7 +222,7 @@ func (s *Switch) TrySetDefault(table, action string, args ...uint64) error {
 			return err
 		}
 	}
-	s.live().tables.SetDefault(table, action, args...)
+	s.tables.SetDefault(table, action, args...)
 	return nil
 }
 
@@ -249,7 +233,7 @@ func (s *Switch) TryClearTable(table string) error {
 			return err
 		}
 	}
-	s.live().tables.ClearTable(table)
+	s.tables.ClearTable(table)
 	return nil
 }
 
@@ -314,21 +298,15 @@ type Checkpoint struct {
 // cutover. Safe to call while packets are processed and entries
 // installed.
 func (s *Switch) Checkpoint() *Checkpoint {
-	g := s.live()
-	cp := &Checkpoint{tables: g.tables.Snapshot()}
+	cp := &Checkpoint{tables: s.tables.Snapshot(), flows: make(map[string]*flow.Snapshot)}
 	s.mu.Lock()
 	cp.mcGroups = make(map[uint64][]uint64, len(s.mcGroups))
 	for gid, ports := range s.mcGroups {
 		cp.mcGroups[gid] = append([]uint64(nil), ports...)
 	}
 	s.mu.Unlock()
-	for _, path := range s.FlowTablePaths() {
-		if ft := s.flowTable(g, path); ft != nil {
-			if cp.flows == nil {
-				cp.flows = make(map[string]*flow.Snapshot)
-			}
-			cp.flows[path] = ft.Snapshot()
-		}
+	for path, ft := range s.live().flows {
+		cp.flows[path] = ft.Snapshot()
 	}
 	return cp
 }
@@ -343,8 +321,7 @@ func (s *Switch) Restore(cp *Checkpoint) {
 	if cp == nil {
 		return
 	}
-	g := s.live()
-	g.tables.Restore(cp.tables)
+	s.tables.Restore(cp.tables)
 	mc := make(map[uint64][]uint64, len(cp.mcGroups))
 	for gid, ports := range cp.mcGroups {
 		mc[gid] = append([]uint64(nil), ports...)
@@ -352,8 +329,9 @@ func (s *Switch) Restore(cp *Checkpoint) {
 	s.mu.Lock()
 	s.mcGroups = mc
 	s.mu.Unlock()
+	flows := s.live().flows
 	for path, snap := range cp.flows {
-		if ft := s.flowTable(g, path); ft != nil {
+		if ft := flows[path]; ft != nil {
 			ft.RestoreSnapshot(snap)
 		}
 	}
@@ -585,7 +563,7 @@ func (r *BatchResult) Release() {
 // SetWorkers sets how many goroutines a ProcessBatch call may run on,
 // the caller's included (values below 2 select the serial path, the
 // default). Per-packet engine state is goroutine-local, table lookups
-// read the generation's lock-free index, and flow tables keep their
+// read the switch's lock-free index, and flow tables keep their
 // lock, so a parallel batch is safe against concurrent control-plane
 // updates and cutovers. Safe to call between batches, and from other
 // goroutines. A parallel batch starts the n-1 helper goroutines it
@@ -907,14 +885,14 @@ func (s *Switch) ProcessBatchInto(pkts [][]byte, inPort uint64, results []BatchR
 }
 
 func (s *Switch) process(g *generation, pkt []byte, meta sim.Metadata) (*sim.ProcResult, error) {
-	if s.engine == EngineReference {
+	if g.exec != nil {
+		return g.exec.Process(pkt, meta)
+	}
+	if g.interp != nil {
 		return g.interp.Process(pkt, meta)
 	}
-	if g.exec == nil {
-		return nil, &sim.EngineFault{Engine: "compiled",
-			Reason: fmt.Sprintf("engine unavailable: %v (use EngineReference)", g.dp.res.ComposeErr)}
-	}
-	return g.exec.Process(pkt, meta)
+	return nil, &sim.EngineFault{Engine: "compiled",
+		Reason: fmt.Sprintf("engine unavailable: %v (use EngineReference)", g.dp.res.ComposeErr)}
 }
 
 // TraceEvent is the simulator's trace event. Seq is a monotonic
