@@ -27,7 +27,8 @@ type ctrlOpts struct {
 // two-phase-commit transaction whose messages ride seed-driven lossy
 // links. The run prints the retry/fault account and then proves
 // convergence by diffing each switch's behavior against a directly
-// programmed twin.
+// programmed twin. A committed switch that diverges from the twin is
+// an error; an aborted transaction is not.
 func runCtrl(program, engine string, o ctrlOpts) error {
 	dp, err := buildDataplane(program)
 	if err != nil {
@@ -108,6 +109,7 @@ func runCtrl(program, engine string, o ctrlOpts) error {
 		fmt.Printf("  fault %-9s %d\n", k, st.Faults[netsim.FaultKind(k)])
 	}
 
+	var diverged []string
 	if result.Committed {
 		fmt.Println("\nconvergence proof (behavior vs a directly programmed twin):")
 		twin := dp.NewSwitchWith(eng)
@@ -116,16 +118,20 @@ func runCtrl(program, engine string, o ctrlOpts) error {
 		for _, name := range names {
 			if diff := behaviorDiff(switches[name], twin, packets); diff != "" {
 				fmt.Printf("  %s: DIVERGED: %s\n", name, diff)
+				diverged = append(diverged, name)
 			} else {
 				fmt.Printf("  %s: identical forwarding on %d probe packets\n", name, len(packets))
 			}
 		}
 	} else {
-		fmt.Println("\ntransaction aborted: switches hold their pre-transaction state")
+		fmt.Println("\ntransaction aborted: no switch applied any of its batch")
 	}
 
 	fmt.Println("\nfinal control-plane metrics:")
-	return reg.WritePrometheus(os.Stdout)
+	if err := reg.WritePrometheus(os.Stdout); err != nil || len(diverged) == 0 {
+		return err
+	}
+	return fmt.Errorf("ctrl: %v diverged from the directly programmed twin", diverged)
 }
 
 // rulePlan converts the program's standard rule set into a transaction

@@ -31,6 +31,10 @@ type AgentConfig struct {
 // through to the dataplane. Corrupted control packets are dropped
 // without reply — the client's retransmission recovers them.
 //
+// A transaction is a pending batch of writes, not a fork of the
+// switch: stage and prepare validate, commit applies, abort discards —
+// so an abort never undoes a write or a learned flow it does not own.
+//
 // All control state (sessions, transactions) is touched only by the
 // network's single-threaded run loop; the wrapped switch's own methods
 // are safe to race with direct Process calls and churn, per the Switch
@@ -42,11 +46,11 @@ type Agent struct {
 	txns   map[uint64]*agentTxn
 }
 
-// agentTxn is one in-progress transaction on this agent.
+// agentTxn is one in-progress transaction on this agent: its staged,
+// validated ops, none of them applied until commit.
 type agentTxn struct {
 	staged   []*CtrlOp
 	prepared bool
-	cp       *microp4.Checkpoint // taken at prepare, for rollback on abort
 }
 
 // NewAgent wraps a switch in a control-protocol agent.
@@ -96,7 +100,7 @@ func (a *Agent) handle(op *CtrlOp) *CtrlReply {
 	case OpAddEntry, OpSetDefault, OpClearTable, OpSetMulticast:
 		if op.Txn != 0 {
 			// Staged: validate now (rejects surface before prepare),
-			// apply at prepare.
+			// apply at commit.
 			if ce := a.validate(op); ce != nil {
 				return a.reject(op, ce)
 			}
@@ -106,76 +110,58 @@ func (a *Agent) handle(op *CtrlOp) *CtrlReply {
 			return ok
 		}
 		if err := a.apply(op); err != nil {
-			ce, isCtrl := err.(*sim.ControlError)
-			if !isCtrl {
-				ce = &sim.ControlError{Op: op.Kind.String(), Table: op.Table,
-					Kind: sim.RejectUnknownOp, Reason: err.Error()}
-			}
-			return a.reject(op, ce)
+			return a.reject(op, controlError(op, err))
 		}
 		a.event("apply", func() string { return fmt.Sprintf("%s %s", op.Kind, op.Table) })
 		return ok
 
 	case OpPrepare:
-		return a.prepare(op)
+		// Put the batch in client sequence order (arrival order varies
+		// under reorder faults) and re-validate it against the live
+		// schema, writing nothing. A rejection leaves the transaction
+		// unprepared, awaiting the coordinator's abort. Preparing an
+		// empty transaction is legal; preparing twice is a no-op.
+		t := a.txn(op.Txn)
+		if !t.prepared {
+			sort.Slice(t.staged, func(i, j int) bool { return t.staged[i].Seq < t.staged[j].Seq })
+			for _, staged := range t.staged {
+				if ce := a.validate(staged); ce != nil {
+					return a.reject(op, ce)
+				}
+			}
+			t.prepared = true
+			a.event("prepare", func() string { return fmt.Sprintf("txn %d: %d ops validated", op.Txn, len(t.staged)) })
+		}
+		return ok
 
 	case OpCommit:
 		t := a.txns[op.Txn]
-		if t == nil {
-			return a.reject(op, &sim.ControlError{Op: "commit", Kind: sim.RejectTxn,
-				Reason: fmt.Sprintf("unknown transaction %d", op.Txn)})
-		}
-		if !t.prepared {
+		if t == nil || !t.prepared {
 			return a.reject(op, &sim.ControlError{Op: "commit", Kind: sim.RejectTxn,
 				Reason: fmt.Sprintf("transaction %d is not prepared", op.Txn)})
 		}
-		delete(a.txns, op.Txn) // discard the checkpoint: changes are final
-		a.event("commit", func() string { return fmt.Sprintf("txn %d", op.Txn) })
+		// The coordinator's decision is final: the reply is OK. An op
+		// fails here only when a cutover since prepare dropped what it
+		// names; it counts as a reject and the rest still land.
+		delete(a.txns, op.Txn)
+		for _, staged := range t.staged {
+			if err := a.apply(staged); err != nil {
+				a.reject(staged, controlError(staged, err))
+			}
+		}
+		a.event("commit", func() string { return fmt.Sprintf("txn %d: %d ops applied", op.Txn, len(t.staged)) })
 		return ok
 
 	case OpAbort:
-		// Abort is idempotent and always succeeds: aborting a
-		// transaction this agent never saw (every staged op was lost)
-		// is a clean no-op.
-		if t := a.txns[op.Txn]; t != nil {
-			if t.prepared {
-				a.sw.Restore(t.cp)
-			}
-			delete(a.txns, op.Txn)
-		}
+		// Abort discards the batch, which never touched the switch. It
+		// is idempotent, and aborting a transaction this agent never
+		// saw (every staged op was lost) is a clean no-op.
+		delete(a.txns, op.Txn)
 		a.event("abort", func() string { return fmt.Sprintf("txn %d", op.Txn) })
 		return ok
 	}
 	return a.reject(op, &sim.ControlError{Op: op.Kind.String(),
 		Kind: sim.RejectUnknownOp, Reason: "unrecognized operation"})
-}
-
-// prepare checkpoints the switch and applies the staged ops (in client
-// sequence order — arrival order varies under reorder faults, sequence
-// order does not). On any failure the checkpoint is restored and the
-// transaction stays staged-but-unprepared, awaiting the coordinator's
-// abort.
-func (a *Agent) prepare(op *CtrlOp) *CtrlReply {
-	t := a.txn(op.Txn) // preparing an empty transaction is legal
-	if t.prepared {
-		return &CtrlReply{Session: op.Session, Seq: op.Seq, Status: StatusOK}
-	}
-	sort.Slice(t.staged, func(i, j int) bool { return t.staged[i].Seq < t.staged[j].Seq })
-	cp := a.sw.Checkpoint()
-	for _, staged := range t.staged {
-		if err := a.apply(staged); err != nil {
-			a.sw.Restore(cp)
-			ce, isCtrl := err.(*sim.ControlError)
-			if !isCtrl {
-				ce = &sim.ControlError{Op: "prepare", Kind: sim.RejectTxn, Reason: err.Error()}
-			}
-			return a.reject(op, ce)
-		}
-	}
-	t.prepared = true
-	t.cp = cp
-	a.event("prepare", func() string { return fmt.Sprintf("txn %d: %d ops applied", op.Txn, len(t.staged)) })
-	return &CtrlReply{Session: op.Session, Seq: op.Seq, Status: StatusOK}
 }
 
 func (a *Agent) txn(id uint64) *agentTxn {
@@ -225,10 +211,17 @@ func (a *Agent) validate(op *CtrlOp) *sim.ControlError {
 	if err == nil {
 		return nil
 	}
+	return controlError(op, err)
+}
+
+// controlError types an error from validating or applying op as a
+// ControlError (the switch's own refusals already are one).
+func controlError(op *CtrlOp, err error) *sim.ControlError {
 	if ce, isCtrl := err.(*sim.ControlError); isCtrl {
 		return ce
 	}
-	return &sim.ControlError{Op: op.Kind.String(), Kind: sim.RejectUnknownOp, Reason: err.Error()}
+	return &sim.ControlError{Op: op.Kind.String(), Table: op.Table,
+		Kind: sim.RejectUnknownOp, Reason: err.Error()}
 }
 
 func (a *Agent) reject(op *CtrlOp, ce *sim.ControlError) *CtrlReply {

@@ -3,8 +3,11 @@ package ctrlplane_test
 import (
 	"testing"
 
+	"microp4"
 	"microp4/internal/ctrlplane"
+	"microp4/internal/lib"
 	"microp4/internal/obs"
+	"microp4/internal/pkt"
 	"microp4/internal/sim"
 	"microp4/internal/wire"
 )
@@ -27,14 +30,70 @@ func sendOp(t *testing.T, a *ctrlplane.Agent, op *ctrlplane.CtrlOp) *ctrlplane.C
 	return rep
 }
 
-func newTestAgent(t *testing.T) (*ctrlplane.Agent, *ctrlplane.Metrics) {
+// newTestAgent wraps a P4 switch with no rules installed in an agent
+// whose metrics land in the returned registry.
+func newTestAgent(t *testing.T) (*ctrlplane.Agent, *obs.Registry) {
 	t.Helper()
-	m := ctrlplane.NewMetrics(obs.NewRegistry())
-	sw := compileP4(t).NewSwitch()
-	return ctrlplane.NewAgent(sw, ctrlplane.AgentConfig{
-		Name: "s1", CtrlPort: ctrlPort, Metrics: m,
-	}), m
+	return newAgentOn(t, compileProg(t, "P4").NewSwitch())
 }
+
+func newAgentOn(t *testing.T, sw *microp4.Switch) (*ctrlplane.Agent, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	return ctrlplane.NewAgent(sw, ctrlplane.AgentConfig{
+		Name: "s1", CtrlPort: ctrlPort, Metrics: ctrlplane.NewMetrics(reg),
+	}), reg
+}
+
+// session numbers ops for one control session on one agent, as a
+// client would, and sends them straight in.
+type session struct {
+	t   *testing.T
+	a   *ctrlplane.Agent
+	seq uint64
+}
+
+// send stamps op with the session and the next sequence number and
+// sends it.
+func (s *session) send(op *ctrlplane.CtrlOp) *ctrlplane.CtrlReply {
+	s.t.Helper()
+	s.seq++
+	op.Session, op.Seq = 5, s.seq
+	return sendOp(s.t, s.a, op)
+}
+
+// ok sends op, fails the test unless the reply is OK, and returns the
+// op as sent (to retransmit it).
+func (s *session) ok(what string, op ctrlplane.CtrlOp) ctrlplane.CtrlOp {
+	s.t.Helper()
+	if rep := s.send(&op); rep.Status != ctrlplane.StatusOK {
+		s.t.Fatalf("%s: %+v", what, rep)
+	}
+	return op
+}
+
+// inTxn tags ops with a transaction id.
+func inTxn(txn uint64, ops ...ctrlplane.CtrlOp) []ctrlplane.CtrlOp {
+	for i := range ops {
+		ops[i].Txn = txn
+	}
+	return ops
+}
+
+func txnOp(txn uint64, kind ctrlplane.OpKind) ctrlplane.CtrlOp {
+	return ctrlplane.CtrlOp{Txn: txn, Kind: kind}
+}
+
+// netARoute is the two writes that make a P4 switch route v4Packet.
+func netARoute() []ctrlplane.CtrlOp {
+	return []ctrlplane.CtrlOp{
+		ctrlplane.AddEntry(lpmTbl, []ctrlplane.CtrlKey{ctrlplane.LPM(lib.NetA, 8)}, "l3_i.ipv4_i.process", lib.NhA),
+		ctrlplane.AddEntry("forward_tbl", []ctrlplane.CtrlKey{ctrlplane.Exact(lib.NhA)},
+			"forward", lib.DmacA, lib.SmacA, lib.PortA),
+	}
+}
+
+const lpmTbl = "l3_i.ipv4_i.ipv4_lpm_tbl"
 
 // TestAgentDedup: a retransmitted (session, seq) replays the cached
 // reply and never re-applies the op — at-least-once in, exactly-once out.
@@ -88,10 +147,7 @@ func TestAgentDedupWindowEviction(t *testing.T) {
 // TestAgentDropsCorruptOps: undecodable control packets produce no
 // reply (the client's timeout recovers) and count as malformed rejects.
 func TestAgentDropsCorruptOps(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := ctrlplane.NewMetrics(reg)
-	sw := compileP4(t).NewSwitch()
-	a := ctrlplane.NewAgent(sw, ctrlplane.AgentConfig{Name: "s1", CtrlPort: ctrlPort, Metrics: m})
+	a, reg := newTestAgent(t)
 	enc := ctrlplane.EncodeCtrlOp(&ctrlplane.CtrlOp{Session: 1, Seq: 1,
 		Kind: ctrlplane.OpClearTable, Table: "forward_tbl"})
 	enc[len(enc)/2] ^= 0x40
@@ -106,58 +162,153 @@ func TestAgentDropsCorruptOps(t *testing.T) {
 }
 
 // TestAgentTxnLifecycle drives stage → prepare → commit and stage →
-// prepare → abort directly, checking idempotence at each step.
+// prepare → abort directly, probing the switch at each step: a batch is
+// invisible until commit, an abort leaves committed state in place, and
+// every step is idempotent.
 func TestAgentTxnLifecycle(t *testing.T) {
 	a, _ := newTestAgent(t)
 	sw := a.Switch()
-	seq := uint64(0)
-	next := func(op ctrlplane.CtrlOp) *ctrlplane.CtrlReply {
-		seq++
-		op.Session = 5
-		op.Seq = seq
-		return sendOp(t, a, &op)
-	}
+	s := &session{t: t, a: a}
 
-	// Txn 1: install a multicast group, then commit.
-	if rep := next(ctrlplane.CtrlOp{Txn: 1, Kind: ctrlplane.OpSetMulticast,
-		Group: 7, Ports: []uint64{1, 2}}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("stage: %+v", rep)
+	// Txn 1: route NetA, then commit.
+	for _, op := range inTxn(1, netARoute()...) {
+		s.ok("stage", op)
 	}
-	if rep := next(ctrlplane.CtrlOp{Txn: 1, Kind: ctrlplane.OpPrepare}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("prepare: %+v", rep)
+	s.ok("prepare", txnOp(1, ctrlplane.OpPrepare))
+	if routes(t, sw) {
+		t.Error("txn 1's route is visible after prepare, before commit")
 	}
 	// Prepare is idempotent (a lost reply means a retransmitted prepare).
-	if rep := next(ctrlplane.CtrlOp{Txn: 1, Kind: ctrlplane.OpPrepare}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("re-prepare: %+v", rep)
-	}
-	if rep := next(ctrlplane.CtrlOp{Txn: 1, Kind: ctrlplane.OpCommit}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("commit: %+v", rep)
+	s.ok("re-prepare", txnOp(1, ctrlplane.OpPrepare))
+	commit := s.ok("commit", txnOp(1, ctrlplane.OpCommit))
+	if !routes(t, sw) {
+		t.Fatal("txn 1's route is not visible after commit")
 	}
 
-	// Txn 2: stage a group change, prepare, then abort — the committed
-	// txn-1 state must survive, the txn-2 change must not.
-	if rep := next(ctrlplane.CtrlOp{Txn: 2, Kind: ctrlplane.OpSetMulticast,
-		Group: 7, Ports: []uint64{5}}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("stage 2: %+v", rep)
+	// A retransmitted commit replays the cached reply and applies
+	// nothing: applying the batch again would undo this direct clear.
+	if err := sw.TryClearTable("forward_tbl"); err != nil {
+		t.Fatal(err)
 	}
-	if rep := next(ctrlplane.CtrlOp{Txn: 2, Kind: ctrlplane.OpPrepare}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("prepare 2: %+v", rep)
+	if rep := sendOp(t, a, &commit); rep.Status != ctrlplane.StatusOK {
+		t.Fatalf("retransmitted commit: %+v, want the cached OK", rep)
 	}
-	if rep := next(ctrlplane.CtrlOp{Txn: 2, Kind: ctrlplane.OpAbort}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("abort 2: %+v", rep)
+	if routes(t, sw) {
+		t.Error("a retransmitted commit applied txn 1's batch again")
+	}
+	s.ok("direct re-add", netARoute()[1])
+
+	// Txn 2: stage a clear, prepare, then abort. The clear never shows,
+	// and txn 1's state survives the abort.
+	s.ok("stage 2", inTxn(2, ctrlplane.ClearTable("forward_tbl"))[0])
+	s.ok("prepare 2", txnOp(2, ctrlplane.OpPrepare))
+	if !routes(t, sw) {
+		t.Error("txn 2's clear is visible after prepare, before commit")
+	}
+	s.ok("abort 2", txnOp(2, ctrlplane.OpAbort))
+	if !routes(t, sw) {
+		t.Error("txn 1's committed route did not survive txn 2's abort")
 	}
 	// Aborting again, or aborting a transaction never seen, is fine.
-	if rep := next(ctrlplane.CtrlOp{Txn: 2, Kind: ctrlplane.OpAbort}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("re-abort: %+v", rep)
-	}
-	if rep := next(ctrlplane.CtrlOp{Txn: 99, Kind: ctrlplane.OpAbort}); rep.Status != ctrlplane.StatusOK {
-		t.Fatalf("abort of unknown txn: %+v", rep)
-	}
+	s.ok("re-abort", txnOp(2, ctrlplane.OpAbort))
+	s.ok("abort of unknown txn", txnOp(99, ctrlplane.OpAbort))
 	// Committing an unknown or unprepared transaction is a txn reject.
-	if rep := next(ctrlplane.CtrlOp{Txn: 99, Kind: ctrlplane.OpCommit}); rep.Status != ctrlplane.StatusRejected || rep.Class != sim.RejectTxn {
+	unknown := txnOp(99, ctrlplane.OpCommit)
+	if rep := s.send(&unknown); rep.Status != ctrlplane.StatusRejected || rep.Class != sim.RejectTxn {
 		t.Fatalf("commit of unknown txn: %+v, want %s reject", rep, sim.RejectTxn)
 	}
-	_ = sw
+
+	// A cutover between prepare and commit that drops an action the
+	// batch names: the commit still succeeds (the coordinator's decision
+	// is final), the dropped op is counted as a reject, and the rest of
+	// the batch lands.
+	t.Run("cutover-drops-action", func(t *testing.T) {
+		// The switch starts on P4 with one extra action, mark, that
+		// forward_tbl can select; the cutover goes to plain P4.
+		const decl = "    action drop_pkt() { im.drop(); }"
+		withMark := compileEdited(t, "P4", decl, decl+"\n    action mark() { }",
+			"actions = { forward; drop_pkt; }", "actions = { forward; drop_pkt; mark; }")
+		sw := withMark.NewSwitch()
+		a, reg := newAgentOn(t, sw)
+		s := &session{t: t, a: a}
+		for _, op := range netARoute() {
+			s.ok("direct route", op)
+		}
+		batch := inTxn(3,
+			ctrlplane.AddEntry("forward_tbl", []ctrlplane.CtrlKey{ctrlplane.Exact(lib.NhB)}, "mark"),
+			ctrlplane.ClearTable(lpmTbl))
+		for _, op := range batch {
+			s.ok("stage 3", op)
+		}
+		s.ok("prepare 3", txnOp(3, ctrlplane.OpPrepare))
+		if _, err := sw.StageGeneration(compileProg(t, "P4")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.CutOver(); err != nil {
+			t.Fatal(err)
+		}
+		s.ok("commit 3 across the cutover", txnOp(3, ctrlplane.OpCommit))
+		if routes(t, sw) {
+			t.Error("the batch's clear, after the dropped op, did not land")
+		}
+		rejects := reg.Counter("up4_ctrl_rejects_total", "", obs.L("class", sim.RejectUnknownAction))
+		if rejects.Value() != 1 {
+			t.Errorf("up4_ctrl_rejects_total{class=%s} = %d, want 1", sim.RejectUnknownAction, rejects.Value())
+		}
+	})
+}
+
+// TestAbortUndoesOnlyItself: a transaction's abort discards its own
+// batch and nothing else. On P9, txn 1 is prepared; while it waits, a
+// direct write lands, txn 2 commits and a flow is learned. Aborting
+// txn 1 must keep all three, and txn 1's route must never have routed
+// a packet.
+func TestAbortUndoesOnlyItself(t *testing.T) {
+	sw := compileProg(t, "P9").NewSwitch()
+	installP9Rules(sw)
+	a, _ := newAgentOn(t, sw)
+	s := &session{t: t, a: a}
+	// 30/8, 40/8 and 50/8: none routed by the standard rules. Each
+	// route sends a packet from PortA back out PortA.
+	const net1, net2, net3 = 0x1E000000, 0x28000000, 0x32000000
+	route := func(net uint64) ctrlplane.CtrlOp {
+		return ctrlplane.AddEntry(lpmTbl, []ctrlplane.CtrlKey{ctrlplane.LPM(net, 8)}, "l3_i.ipv4_i.process", lib.NhA)
+	}
+	routed := func(net uint64) bool {
+		t.Helper()
+		probe := pkt.NewBuilder().Ethernet(lib.DmacA, 2, pkt.EtherTypeIPv4).
+			IPv4(pkt.IPv4Opts{TTL: 64, Protocol: pkt.ProtoTCP, Src: lib.NetA | 9, Dst: uint32(net) | 1}).
+			TCP(2000, 80).Bytes()
+		return forwards(t, sw, probe, lib.PortA, lib.PortA)
+	}
+
+	s.ok("stage 1", inTxn(1, route(net1))[0])
+	s.ok("prepare 1", txnOp(1, ctrlplane.OpPrepare))
+	routedWhilePrepared := routed(net1)
+
+	s.ok("direct write", route(net2))
+	s.ok("stage 2", inTxn(2, route(net3))[0])
+	s.ok("prepare 2", txnOp(2, ctrlplane.OpPrepare))
+	s.ok("commit 2", txnOp(2, ctrlplane.OpCommit))
+	if !forwards(t, sw, flowFwd(0), lib.PortA, lib.PortB) {
+		t.Fatal("flow 0's forward packet was not routed")
+	}
+
+	s.ok("abort 1", txnOp(1, ctrlplane.OpAbort))
+	for _, c := range []struct {
+		ok   bool
+		want string
+	}{
+		{routed(net2), "the direct write made while txn 1 was prepared forwards"},
+		{routed(net3), "txn 2's committed route forwards"},
+		{forwards(t, sw, flowRev(0), lib.PortB, lib.PortA), "the flow learned while txn 1 was prepared passes its return packet"},
+		{!routedWhilePrepared, "a packet sent while txn 1 was prepared was not routed by txn 1's entry"},
+		{!routed(net1), "txn 1's route is gone"},
+	} {
+		if !c.ok {
+			t.Errorf("after txn 1's abort: want %s", c.want)
+		}
+	}
 }
 
 // TestAgentStagedValidation: invalid ops are rejected at staging time,

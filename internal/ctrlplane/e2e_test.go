@@ -18,40 +18,6 @@ import (
 	"microp4/internal/wire"
 )
 
-// compileP4 builds the flagship composed router (program P4).
-func compileP4(t testing.TB) *microp4.Dataplane {
-	t.Helper()
-	m, err := lib.Program("P4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := lib.Source(m.MainFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	main, err := microp4.CompileModule(m.MainFile, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mods []*microp4.Module
-	for _, name := range m.Modules {
-		msrc, err := lib.ModuleSource(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mod, err := microp4.CompileModule(name+".up4", msrc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		mods = append(mods, mod)
-	}
-	dp, err := microp4.Build(main, mods...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dp
-}
-
 // v4Packet is routable via NetA/8 → next hop NhA → port PortA once the
 // standard rules are installed.
 func v4Packet() []byte {
@@ -64,11 +30,18 @@ func v4Packet() []byte {
 // routes checks whether a switch currently forwards the NetA packet.
 func routes(t *testing.T, sw *microp4.Switch) bool {
 	t.Helper()
-	out, err := sw.Process(v4Packet(), 0)
+	return forwards(t, sw, v4Packet(), 0, lib.PortA)
+}
+
+// forwards checks whether sw sends data, arriving on inPort, out of
+// port want (and nowhere else).
+func forwards(t *testing.T, sw *microp4.Switch, data []byte, inPort, want uint64) bool {
+	t.Helper()
+	out, err := sw.Process(data, inPort)
 	if err != nil {
 		t.Fatalf("dataplane probe: %v", err)
 	}
-	return len(out) == 1 && out[0].Port == lib.PortA
+	return len(out) == 1 && out[0].Port == want
 }
 
 // updatePlan is the standard two-switch transactional rollout: route
@@ -105,14 +78,14 @@ type scenario struct {
 func newScenario(t *testing.T, seed uint64, fm netsim.FaultModel) *scenario {
 	t.Helper()
 	reg := obs.NewRegistry()
-	return newScenarioMetrics(t, seed, fm, reg, ctrlplane.NewMetrics(reg))
+	return newScenarioMetrics(t, compileProg(t, "P4"), seed, fm, reg, ctrlplane.NewMetrics(reg))
 }
 
-// newScenarioMetrics is newScenario with the client's and the agents'
-// Metrics chosen by the caller; nil runs the scenario uninstrumented.
-func newScenarioMetrics(t *testing.T, seed uint64, fm netsim.FaultModel, reg *obs.Registry, metrics *ctrlplane.Metrics) *scenario {
+// newScenarioMetrics is newScenario with the switches' dataplane and
+// the client's and the agents' Metrics chosen by the caller; nil
+// metrics run the scenario uninstrumented.
+func newScenarioMetrics(t *testing.T, dp *microp4.Dataplane, seed uint64, fm netsim.FaultModel, reg *obs.Registry, metrics *ctrlplane.Metrics) *scenario {
 	t.Helper()
-	dp := compileP4(t)
 	s := &scenario{
 		n:        netsim.New(seed),
 		switches: map[string]*microp4.Switch{},
@@ -179,7 +152,7 @@ func (s *scenario) engineFaults() uint64 {
 // timeout paths run — must commit with every one of them nil (the
 // client used to dereference its nil Metrics on the first timeout).
 func TestTransactionWithoutMetrics(t *testing.T) {
-	s := newScenarioMetrics(t, 0x5EED, netsim.FaultModel{Drop: 0.10}, nil, nil)
+	s := newScenarioMetrics(t, compileProg(t, "P4"), 0x5EED, netsim.FaultModel{Drop: 0.10}, nil, nil)
 	s.transact(t, updatePlan(s.client.Peers()))
 	if !s.result.Committed || len(s.result.PeerErrs) != 0 {
 		t.Fatalf("transaction did not commit cleanly: %+v", *s.result)
@@ -325,6 +298,138 @@ func TestUnreachablePeerAborts(t *testing.T) {
 	}
 }
 
+// TestAbortUnderFlowChurn is the chaos case for an aborting rollout
+// under flow churn: two P9 firewalls behind lossy control links, a
+// plan that would reroute NetB on both, and s2's control link cut as
+// prepare starts, so s1 prepares and then aborts. Flows are learned on
+// s1 before the transaction and all through its prepared window.
+// After the abort every flow passes return traffic and the
+// pre-existing routes forward; no packet meanwhile took the doomed
+// plan's route. The run is byte-identical per seed.
+func TestAbortUnderFlowChurn(t *testing.T) {
+	for _, seed := range []uint64{42, 7, 1001} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			first := runAbortUnderChurn(t, seed)
+			golden.Signature(t, t.Name(), []byte(first))
+			if again := runAbortUnderChurn(t, seed); again != first {
+				t.Errorf("abort-under-churn run is not reproducible for seed %d", seed)
+			}
+		})
+	}
+}
+
+// runAbortUnderChurn drives one seed of TestAbortUnderFlowChurn and
+// returns its signature: the interleaved fault and control events, s1's
+// egress and the fault tallies.
+func runAbortUnderChurn(t *testing.T, seed uint64) string {
+	t.Helper()
+	reg := obs.NewRegistry()
+	s := newScenarioMetrics(t, compileProg(t, "P9"), seed, lossy, reg, ctrlplane.NewMetrics(reg))
+	for _, sw := range s.switches {
+		installP9Rules(sw)
+	}
+	const before, during = 20, 40
+	inject := func(i int) {
+		for _, err := range []error{
+			s.n.Inject("s1", lib.PortA, flowFwd(i)),
+			s.n.Inject("s1", lib.PortB, flowRev(i)),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < before; i++ {
+		inject(i)
+	}
+	if _, err := s.n.Run(0); err != nil {
+		t.Fatal(err)
+	}
+
+	// The client announces prepare before sending it: cut s2 off then.
+	// Once s1 has prepared, learn one more flow every 8 ticks.
+	var held bool    // s1 holds the transaction prepared
+	var inWindow int // flows learned while it does
+	s.n.Bus().Subscribe(func(e sim.TraceEvent) {
+		switch {
+		case e.Kind != "ctrl":
+		case e.Name == "txn-prepare":
+			if err := s.n.SetLinkDown("ctrl", 2, true); err != nil {
+				t.Error(err)
+			}
+		case e.Module == "s1" && e.Name == "prepare":
+			held = true
+			for k := 0; k < during; k++ {
+				i := before + k
+				s.n.After(uint64(8*k+1), func() {
+					if held {
+						inWindow++
+					}
+					inject(i)
+				})
+			}
+		case e.Module == "s1" && e.Name == "abort":
+			held = false
+		}
+	})
+	var plan []ctrlplane.TxnOp
+	for _, peer := range s.client.Peers() {
+		plan = append(plan,
+			ctrlplane.TxnOp{Peer: peer, Op: ctrlplane.ClearTable(lpmTbl)},
+			ctrlplane.TxnOp{Peer: peer, Op: ctrlplane.AddEntry(lpmTbl,
+				[]ctrlplane.CtrlKey{ctrlplane.LPM(lib.NetB, 8)}, "l3_i.ipv4_i.process", lib.NhA)})
+	}
+	s.transact(t, plan)
+	if s.result.Committed {
+		t.Fatalf("transaction committed with s2 cut off at prepare: %+v", *s.result)
+	}
+	if err := s.result.PeerErrs["s2"]; !errors.Is(err, ctrlplane.ErrUnreachable) {
+		t.Errorf("s2 error = %v, want ErrUnreachable", err)
+	}
+	if inWindow == 0 || held {
+		t.Fatalf("s1 learned %d flows while holding the transaction prepared (still held at the end: %v): the case does not test what it names",
+			inWindow, held)
+	}
+
+	// Every flow, learned before or during the transaction, passes its
+	// return packet; a new flow takes the pre-existing NetB route.
+	for i := 0; i < before+during; i++ {
+		if err := s.n.Inject("s1", lib.PortB, flowRev(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.n.Inject("s1", lib.PortA, flowFwd(before+during)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.n.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	ports := map[uint64]int{}
+	var sig strings.Builder
+	for _, e := range s.events {
+		fmt.Fprintln(&sig, e)
+	}
+	for _, d := range s.n.Egress("s1") {
+		ports[d.Port]++
+		fmt.Fprintf(&sig, "egress %d %x\n", d.Port, d.Data)
+	}
+	flows := before + during
+	if want := map[uint64]int{lib.PortA: 2 * flows, lib.PortB: flows + 1}; fmt.Sprint(ports) != fmt.Sprint(want) {
+		t.Errorf("s1 egress by port %v, want %v: a packet was dropped or took the aborted plan's route", ports, want)
+	}
+	// s2 never heard the prepare or the abort: its staged batch is
+	// held, unapplied, and its routes are unchanged.
+	if !forwards(t, s.switches["s2"], flowFwd(0), lib.PortA, lib.PortB) {
+		t.Error("s2, cut off before prepare, stopped routing NetB")
+	}
+	st := s.n.Stats()
+	for _, k := range netsim.FaultKinds {
+		fmt.Fprintf(&sig, "fault %s %d\n", k, st.Faults[k])
+	}
+	fmt.Fprintf(&sig, "steps %d\n", st.Steps)
+	return sig.String()
+}
+
 // TestBreakerOpensOnDeadPeer checks the circuit breaker: enough
 // consecutive timeouts trip it open (gauge = 1), and sends while open
 // are held rather than burned.
@@ -384,7 +489,7 @@ func TestParkedClientIsNamedByWatchdog(t *testing.T) {
 // the assertion is the absence of data races and a committed result.
 func TestCommitRacesDataplaneAndChurn(t *testing.T) {
 	s := newScenario(t, 0xACE, netsim.FaultModel{Drop: 0.05, Duplicate: 0.05})
-	api := compileP4(t).ControlAPI()
+	api := compileProg(t, "P4").ControlAPI()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for name, sw := range s.switches {
@@ -441,7 +546,7 @@ func TestCommitRacesDataplaneAndChurn(t *testing.T) {
 // deliberately bogus table in the mix: the validated API must refuse
 // those ops and up4_churn_rejects_total must count them.
 func TestChurnRejectCounting(t *testing.T) {
-	dp := compileP4(t)
+	dp := compileProg(t, "P4")
 	n := netsim.New(3)
 	reg := n.EnableMetrics()
 	sw := dp.NewSwitch()

@@ -29,6 +29,13 @@ const syncPort = 7
 // compileProg builds any library program's dataplane.
 func compileProg(t testing.TB, prog string) *microp4.Dataplane {
 	t.Helper()
+	return compileEdited(t, prog)
+}
+
+// compileEdited builds a library program with its main source edited:
+// edits are old, new pairs, and each old must occur in the source.
+func compileEdited(t testing.TB, prog string, edits ...string) *microp4.Dataplane {
+	t.Helper()
 	m, err := lib.Program(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -37,6 +44,12 @@ func compileProg(t testing.TB, prog string) *microp4.Dataplane {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < len(edits); i += 2 {
+		if !strings.Contains(src, edits[i]) {
+			t.Fatalf("%s: edit target %q not in %s", prog, edits[i], m.MainFile)
+		}
+	}
+	src = strings.NewReplacer(edits...).Replace(src)
 	main, err := microp4.CompileModule(m.MainFile, src)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@
 //     turns a partitioned peer into graceful degradation with a
 //     per-channel circuit breaker;
 //   - transactions make multi-switch updates atomic with two-phase
-//     commit, rolling back via switch checkpoints on abort.
+//     commit; a batch is applied only at commit, so abort discards it.
 package ctrlplane
 
 import (

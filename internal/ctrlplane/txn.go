@@ -18,13 +18,13 @@ type TxnOp struct {
 }
 
 // TxnResult reports a transaction's outcome. Committed means every
-// participant durably applied the batch — except peers listed in
-// PeerErrs with an ErrUnreachable during the commit phase, which are
-// in doubt (they prepared, and will commit if the channel heals; the
-// classic 2PC limitation, surfaced honestly instead of hidden).
-// A non-committed result is a rollback: every participant the abort
-// reached retains none of the batch; a participant unreachable even by
-// the abort is listed in PeerErrs and may hold prepared state.
+// participant applied the batch — except peers listed in PeerErrs with
+// an ErrUnreachable during the commit phase, which are in doubt: each
+// holds its validated batch unapplied and applies it if the commit
+// gets through (the classic 2PC limitation, surfaced instead of
+// hidden). A non-committed result means no participant applied any of
+// the batch: the abort discards it where it arrives, and a participant
+// it never reaches (listed in PeerErrs) holds nothing visible.
 type TxnResult struct {
 	Txn       uint64
 	Committed bool
@@ -45,11 +45,12 @@ func (r TxnResult) Err() error {
 }
 
 // Transaction runs a multi-switch atomic batch over two-phase commit:
-// every op is staged on its peer (validated on receipt, applied later),
-// then each participant prepares (checkpoint + apply), and only when
-// every participant has prepared does the coordinator commit; any
-// rejection or unreachable peer before that point aborts everywhere,
-// restoring the checkpoints. done fires during the network run.
+// every op is staged on its peer (validated on receipt), then each
+// participant prepares (re-validates its batch, writing nothing), and
+// only when every participant has prepared does the coordinator
+// commit, which is when each peer applies its batch. Any rejection or
+// unreachable peer before that point aborts everywhere, discarding the
+// batches. done fires during the network run.
 //
 // Each phase's messages ride the same lossy links as everything else —
 // staging, prepare, commit, and abort are all individually retried,
@@ -162,25 +163,23 @@ func (t *txnCoord) advance(next func()) {
 	next()
 }
 
-// prepare asks every participant to checkpoint and apply its batch.
+// prepare asks every participant to re-validate its batch.
 func (t *txnCoord) prepare() {
 	t.c.calls.Event(nil, "txn-prepare", func() string { return fmt.Sprintf("txn %d", t.id) })
 	t.toPeers("prepare", OpPrepare, t.vote, func() { t.advance(t.commit) })
 }
 
-// commit finalizes on every participant. A peer unreachable here is in
-// doubt: it has prepared and its agent will hold the applied state; the
+// commit has every participant apply its batch. A peer unreachable
+// here is in doubt: its agent holds the prepared batch, unapplied; the
 // result says so rather than pretending otherwise.
 func (t *txnCoord) commit() {
 	t.toPeers("commit", OpCommit, t.vote, func() { t.settle(true, "txn-commit", t.c.metrics.TxnCommits) })
 }
 
-// abort rolls back every participant (restore checkpoint, discard
-// staged ops). Abort is agent-side idempotent and always succeeds when
-// it arrives; a peer unreachable even by the abort is recorded in
-// PeerErrs — it usually holds only staged-but-unapplied ops, but may
-// hold prepared state when its prepare reply (rather than the prepare
-// itself) was what kept getting lost.
+// abort has every participant discard its batch. Abort is agent-side
+// idempotent and always succeeds when it arrives; a peer unreachable
+// even by the abort is recorded in PeerErrs and holds its batch,
+// staged or prepared, never applied.
 func (t *txnCoord) abort() {
 	t.toPeers("abort", OpAbort, func(peer string, _ *CtrlReply, err error) {
 		if err != nil {

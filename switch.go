@@ -293,10 +293,10 @@ type Checkpoint struct {
 }
 
 // Checkpoint snapshots the control-plane and flow state for a later
-// Restore — the rollback mechanism behind the ctrlplane's transactional
-// updates, and the state-transfer unit for standby bootstrap and ISSU
-// cutover. Safe to call while packets are processed and entries
-// installed.
+// Restore — the state-transfer unit for standby bootstrap, and a way to
+// rewind a whole switch. Transactions do not use it: a ctrlplane agent
+// applies a batch only at commit, so an abort has nothing to undo.
+// Safe to call while packets are processed and entries installed.
 func (s *Switch) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{tables: s.tables.Snapshot(), flows: make(map[string]*flow.Snapshot)}
 	s.mu.Lock()
