@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"microp4/internal/golden"
 	"microp4/internal/ir"
 	"microp4/internal/lib"
 	"microp4/internal/midend"
@@ -39,6 +40,10 @@ func TestPathCoverageGate(t *testing.T) {
 			if !r.OK() {
 				t.Errorf("Report.OK() = false")
 			}
+			// The whole report — witness counts, coverage, unreached
+			// notes — is pinned, so a simplification of the explorer
+			// that changes any verdict shows here.
+			golden.Signature(t, "TestPathCoverageGate/"+m.Name, []byte(r.String()))
 			// Conversely: every allowlisted outcome must actually be
 			// missing — if the checker starts covering one, the structural
 			// argument above is stale and the list must shrink.
