@@ -54,10 +54,10 @@ func fuzzEngines() (*microp4.Switch, *microp4.Switch, error) {
 // arbitrary fuzz iteration.
 type fuzzTB struct{ testing.TB }
 
-func (*fuzzTB) Helper()                         {}
-func (*fuzzTB) Fatal(args ...any)               { panic(fmt.Sprint(args...)) }
-func (*fuzzTB) Fatalf(format string, a ...any)  { panic(fmt.Sprintf(format, a...)) }
-func (*fuzzTB) Errorf(format string, a ...any)  { panic(fmt.Sprintf(format, a...)) }
+func (*fuzzTB) Helper()                        {}
+func (*fuzzTB) Fatal(args ...any)              { panic(fmt.Sprint(args...)) }
+func (*fuzzTB) Fatalf(format string, a ...any) { panic(fmt.Sprintf(format, a...)) }
+func (*fuzzTB) Errorf(format string, a ...any) { panic(fmt.Sprintf(format, a...)) }
 
 // fuzzP11Engines lazily builds the P11 load-balancer switch pair with
 // the full evaluation rule set. Unlike P4, P11 is stateful: the shared

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"microp4/internal/equiv"
 	"microp4/internal/flow"
 	"microp4/internal/ir"
 	"microp4/internal/sim"
@@ -205,7 +204,7 @@ func (c *canaryState) mirror(pkt []byte, meta sim.Metadata, live *outBuf, liveEr
 	meta.M = nil
 	ob := c.s.getOutBuf()
 	shadowErr := c.s.archLoop(ob, c.shadow, pkt, meta)
-	d := equiv.FirstOutcomeDiff(outcomeOf(live, liveErr), outcomeOf(ob, shadowErr))
+	d := sim.FirstOutcomeDiff(outcomeOf(live, liveErr), outcomeOf(ob, shadowErr))
 	c.s.obPool.Put(ob)
 	if d == "" {
 		d = c.flowDiff()
@@ -220,14 +219,16 @@ func (c *canaryState) mirror(pkt []byte, meta sim.Metadata, live *outBuf, liveEr
 	}
 }
 
-// outcomeOf views an architecture result as an equiv outcome. The
-// slices alias ob's buffers — valid for the comparison, not retained.
-func outcomeOf(ob *outBuf, err error) equiv.Outcome {
-	o := equiv.Outcome{ErrClass: equiv.ErrClassOf(err), Digests: ob.digests}
+// outcomeOf views an architecture result as a sim outcome; the
+// engine-level disposition fields stay zero, since above the engine a
+// dropped packet is just one with no outputs. The slices alias ob's
+// buffers — valid for the comparison, not retained.
+func outcomeOf(ob *outBuf, err error) sim.Outcome {
+	o := sim.Outcome{ErrClass: sim.ErrClassOf(err), Digests: ob.digests}
 	if len(ob.outs) > 0 {
-		o.Out = make([]equiv.PortPacket, len(ob.outs))
+		o.Out = make([]sim.OutPkt, len(ob.outs))
 		for i, out := range ob.outs {
-			o.Out[i] = equiv.PortPacket{Port: out.Port, Data: out.Data}
+			o.Out[i] = sim.OutPkt{Port: out.Port, Data: out.Data}
 		}
 	}
 	return o

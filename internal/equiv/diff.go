@@ -76,7 +76,7 @@ type engines struct {
 	composeErr error
 }
 
-// buildProgEngines compiles prog (P1..P9) and constructs the engines.
+// buildProgEngines compiles prog (P1..P11) and constructs the engines.
 // tf is the midend transform the third engine applies to an
 // independently compiled copy of the sources; the production checker
 // passes midend.Transform, mutation tests pass a broken variant.
@@ -147,119 +147,11 @@ func (e *engines) apply(w *Witness) {
 	}
 }
 
-// ----------------------------------------------------------------------------
-// Output comparison
-
-// engineOut is the comparable summary of one engine's run.
-type engineOut struct {
-	Err          string // error class ("" = no error)
-	Dropped      bool
-	ParserReject bool
-	Recirculate  bool
-	Mcast        uint64
-	Digests      []uint64
-	Out          []sim.OutPkt
-}
-
-func capture(res *sim.ProcResult, err error) engineOut {
-	if err != nil {
-		cls := "error"
-		if c, ok := sim.ClassOf(err); ok {
-			cls = c.String()
-		}
-		return engineOut{Err: cls}
-	}
-	o := engineOut{
-		Dropped:      res.Dropped,
-		ParserReject: res.ParserReject,
-		Recirculate:  res.Recirculate,
-		Mcast:        res.McastGroup,
-		Digests:      append([]uint64(nil), res.Digests...),
-	}
-	for _, p := range res.Out {
-		o.Out = append(o.Out, sim.OutPkt{Port: p.Port, Data: append([]byte(nil), p.Data...)})
-	}
-	return o
-}
-
-func (o engineOut) String() string {
-	if o.Err != "" {
-		return "error:" + o.Err
-	}
-	s := ""
-	if o.Dropped {
-		s = "DROP"
-		if o.ParserReject {
-			s += "(parser)"
-		}
-	}
-	for _, p := range o.Out {
-		s += fmt.Sprintf("[port=%d len=%d %x]", p.Port, len(p.Data), p.Data)
-	}
-	if o.Recirculate {
-		s += " recirc"
-	}
-	if o.Mcast != 0 {
-		s += fmt.Sprintf(" mcast=%d", o.Mcast)
-	}
-	if len(o.Digests) > 0 {
-		s += fmt.Sprintf(" digests=%v", o.Digests)
-	}
-	return s
-}
-
-// firstDiff names the first field on which two summaries disagree
-// ("" = byte-identical outcomes).
-func firstDiff(a, b engineOut) string {
-	if a.Err != b.Err {
-		return "error-class"
-	}
-	if a.Err != "" {
-		return "" // same error class: agreed failure
-	}
-	switch {
-	case a.Dropped != b.Dropped:
-		return "dropped"
-	case a.ParserReject != b.ParserReject:
-		return "parser-reject"
-	case a.Recirculate != b.Recirculate:
-		return "recirculate"
-	case a.Mcast != b.Mcast:
-		return "mcast-group"
-	}
-	if len(a.Digests) != len(b.Digests) {
-		return "digest-count"
-	}
-	for i := range a.Digests {
-		if a.Digests[i] != b.Digests[i] {
-			return fmt.Sprintf("digest[%d]", i)
-		}
-	}
-	if len(a.Out) != len(b.Out) {
-		return "output-count"
-	}
-	for i := range a.Out {
-		if a.Out[i].Port != b.Out[i].Port {
-			return fmt.Sprintf("out[%d].port", i)
-		}
-		x, y := a.Out[i].Data, b.Out[i].Data
-		if len(x) != len(y) {
-			return fmt.Sprintf("out[%d].len", i)
-		}
-		for j := range x {
-			if x[j] != y[j] {
-				return fmt.Sprintf("out[%d].byte[%d]", i, j)
-			}
-		}
-	}
-	return ""
-}
-
 // Divergence is one witnessed disagreement between engines.
 type Divergence struct {
 	Program string
 	Pair    string // "reference vs compiled" or "reference vs re-transformed"
-	Field   string // first differing field
+	Field   string // first difference, in sim.FirstOutcomeDiff's wording
 	A, B    string // the two outcome summaries
 	Witness *Witness
 	Path    string // decision-trace signature of the witness
@@ -270,21 +162,19 @@ type Divergence struct {
 func (e *engines) runDiff(w *Witness) *Divergence {
 	e.apply(w)
 	meta := sim.Metadata{InPort: w.Port}
-	ri, erri := e.interp.Process(w.Packet, meta)
-	ref := capture(ri, erri)
+	ref := sim.OutcomeOf(e.interp.Process(w.Packet, meta))
 	if e.exec != nil {
 		rx, errx := e.exec.Process(w.Packet, meta)
-		cmp := capture(rx, errx)
+		cmp := sim.OutcomeOf(rx, errx)
 		if rx != nil {
 			rx.Release()
 		}
-		if f := firstDiff(ref, cmp); f != "" {
+		if f := sim.FirstOutcomeDiff(ref, cmp); f != "" {
 			return &Divergence{Pair: "reference vs compiled", Field: f, A: ref.String(), B: cmp.String(), Witness: w}
 		}
 	}
-	r3, err3 := e.interp3.Process(w.Packet, meta)
-	o3 := capture(r3, err3)
-	if f := firstDiff(ref, o3); f != "" {
+	o3 := sim.OutcomeOf(e.interp3.Process(w.Packet, meta))
+	if f := sim.FirstOutcomeDiff(ref, o3); f != "" {
 		return &Divergence{Pair: "reference vs re-transformed", Field: f, A: ref.String(), B: o3.String(), Witness: w}
 	}
 	return nil

@@ -5,24 +5,18 @@ import (
 	"microp4/internal/midend"
 )
 
+// Exploration bounds. Hitting maxWitnesses sets Report.Capped — it is
+// reported, never silent; 8192 leaves room above P10's decap × NAT64 ×
+// route product (~4.7k), the largest legitimate path space.
+const (
+	maxWitnesses   = 8192
+	pad            = 96 // zero payload bytes after the seed's El extractable bytes
+	maxDivergences = 25 // minimized and kept; Report.TotalDivergences counts all
+)
+
 // Options tunes a Check run. The zero value selects the production
 // configuration.
 type Options struct {
-	// MaxWitnesses caps the number of distinct execution paths checked
-	// (default 8192 — P10's decap × NAT64 × route product is the
-	// largest legitimate path space at ~4.7k). Hitting the cap sets
-	// Report.Capped — it is reported, never silent.
-	MaxWitnesses int
-
-	// Pad is the number of zero payload bytes appended after the region
-	// a seed packet's parser path extracts (default 96), so forced
-	// longer paths do not run out of packet.
-	Pad int
-
-	// MaxDivergences caps how many divergences are minimized and kept in
-	// the report (default 25); Report.TotalDivergences always counts all.
-	MaxDivergences int
-
 	// Transform is the midend transform the third engine applies to an
 	// independently compiled copy of the sources (default
 	// midend.Transform). Mutation tests inject broken variants here to
@@ -36,15 +30,6 @@ type Options struct {
 // re-transformed copy to agree byte-for-byte on each. See the package
 // documentation for the architecture and soundness boundary.
 func Check(prog string, opts Options) (*Report, error) {
-	if opts.MaxWitnesses <= 0 {
-		opts.MaxWitnesses = 8192
-	}
-	if opts.Pad <= 0 {
-		opts.Pad = 96
-	}
-	if opts.MaxDivergences <= 0 {
-		opts.MaxDivergences = 25
-	}
 	if opts.Transform == nil {
 		opts.Transform = midend.Transform
 	}
@@ -52,7 +37,7 @@ func Check(prog string, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := newChecker(prog, opts, eng)
+	c, err := newChecker(prog, eng)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package equiv
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"microp4/internal/ir"
@@ -12,7 +11,6 @@ import (
 // checker is the per-program exploration state.
 type checker struct {
 	prog string
-	opts Options
 	eng  *engines
 
 	progs map[string]*ir.Program // linked programs by name
@@ -65,9 +63,9 @@ type alternative struct {
 	force  func(w *Witness) (*Witness, string)
 }
 
-func newChecker(prog string, opts Options, eng *engines) (*checker, error) {
+func newChecker(prog string, eng *engines) (*checker, error) {
 	c := &checker{
-		prog: prog, opts: opts, eng: eng,
+		prog: prog, eng: eng,
 		progs:     map[string]*ir.Program{eng.linked.Main.Name: eng.linked.Main},
 		parserCov: make(map[string]map[string]bool),
 		unknown:   make(map[string]map[string]bool),
@@ -224,7 +222,7 @@ func (c *checker) mark(events []sim.ObsEvent) (sawShort bool) {
 				continue
 			}
 			if u := c.universeOf(ev.Prog); u != nil {
-				if _, inU := u.Paths[key]; inU || contains(u.Keys, key) {
+				if u.Has[key] {
 					c.parserCov[ev.Prog][key] = true
 				} else {
 					if c.unknown[ev.Prog] == nil {
@@ -265,15 +263,6 @@ func (c *checker) universeOf(prog string) *parserUniverse {
 		}
 	}
 	return nil
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // ----------------------------------------------------------------------------
@@ -585,53 +574,6 @@ func (c *checker) switchAlts(ev *sim.ObsEvent) []alternative {
 	return alts
 }
 
-// opMatches reports whether an installed op would match the observed key
-// values on this table (mirrors sim's matchRuntimeEntry).
-func opMatches(def *ir.Table, op TableOp, keys []uint64) bool {
-	for i := range op.Keys {
-		if i >= len(def.Keys) || i >= len(keys) {
-			return false
-		}
-		k := op.Keys[i]
-		v := keys[i]
-		width := def.Keys[i].Expr.Width
-		if k.DontCare {
-			continue
-		}
-		switch def.Keys[i].MatchKind {
-		case "exact":
-			if k.Value != v {
-				return false
-			}
-		case "ternary":
-			if k.HasMask {
-				if k.Value&k.Mask != v&k.Mask {
-					return false
-				}
-			} else if k.Value != v {
-				return false
-			}
-		case "lpm":
-			if k.PrefixLen != 0 {
-				shift := uint(width - k.PrefixLen)
-				if width >= 64 {
-					shift = uint(64 - k.PrefixLen)
-				}
-				if k.Value>>shift != v>>shift {
-					return false
-				}
-			}
-		case "range":
-			if v < k.Value || v > k.Mask {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // entryKeysFor builds the most specific runtime keys matching exactly
 // the observed key values.
 func entryKeysFor(def *ir.Table, keys []uint64) []sim.RuntimeKey {
@@ -686,7 +628,7 @@ func (c *checker) tableAlts(ev *sim.ObsEvent) []alternative {
 				// outcome must not be decided by a leftover entry.
 				kept := w2.Ops[:0]
 				for _, op := range w2.Ops {
-					if op.Table == ev.FQ && opMatches(def, op, ev.Keys) {
+					if op.Table == ev.FQ && sim.EntryMatches(def, op.Keys, ev.Keys) {
 						continue
 					}
 					kept = append(kept, op)
@@ -771,7 +713,7 @@ func (c *checker) processJob(j *job) {
 	}
 	if d := c.eng.runDiff(j.w); d != nil {
 		c.totalDivs++
-		if len(c.divs) < c.opts.MaxDivergences {
+		if len(c.divs) < maxDivergences {
 			mw := c.eng.minimize(j.w)
 			if d2 := c.eng.runDiff(mw); d2 != nil {
 				d = d2
@@ -782,7 +724,7 @@ func (c *checker) processJob(j *job) {
 			c.divs = append(c.divs, d)
 		}
 	}
-	if c.witnesses >= c.opts.MaxWitnesses {
+	if c.witnesses >= maxWitnesses {
 		c.capped = true
 		return
 	}
@@ -824,44 +766,12 @@ func (c *checker) processJob(j *job) {
 	}
 }
 
-func (c *checker) seeds() []*Witness {
-	// Seeds must be long enough for the deepest nested parse: the
-	// composition's extract-length El bounds bytes parsed across every
-	// module of every path (§5.2), so El + Pad leaves payload to spare.
-	maxNeed := c.eng.el
-	main := c.eng.linked.Main
-	var out []*Witness
-	if u := c.universeOf(main.Name); u != nil {
-		for _, pp := range u.Paths {
-			if pp.Bytes > maxNeed {
-				maxNeed = pp.Bytes
-			}
-		}
-		keys := append([]string(nil), u.Keys...)
-		sort.Strings(keys)
-		for _, k := range keys {
-			pp := u.Paths[k]
-			if pp == nil {
-				continue
-			}
-			pkt, err := SolvePacket(main, pp, maxNeed-pp.Bytes+c.opts.Pad)
-			if err != nil {
-				c.note(unreachedNote{What: "seed for main path " + k, Reason: err.Error(), prog: main.Name})
-				continue
-			}
-			out = append(out, &Witness{Packet: pkt, Port: 1})
-		}
-	}
-	// The all-zero packet is the base seed even when the main program has
-	// no parser.
-	out = append(out, &Witness{Packet: make([]byte, maxNeed+c.opts.Pad), Port: 1})
-	return out
-}
-
 func (c *checker) explore() {
-	for _, s := range c.seeds() {
-		c.queue = append(c.queue, &job{w: s, note: "seed"})
-	}
+	// One all-zero seed: the composition's extract-length El bounds the
+	// bytes parsed across every module on every path (§5.2), so El + pad
+	// leaves payload to spare on whichever path forcing steers it down.
+	seed := &Witness{Packet: make([]byte, c.eng.el+pad), Port: 1}
+	c.queue = append(c.queue, &job{w: seed, note: "seed"})
 	for len(c.queue) > 0 && !c.capped {
 		j := c.queue[0]
 		c.queue = c.queue[1:]

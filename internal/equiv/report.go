@@ -46,7 +46,7 @@ type Report struct {
 	Probes    int // of which truncation ("short" reject) probes
 	Capped    bool
 
-	Divergences      []*Divergence // minimized, up to Options.MaxDivergences
+	Divergences      []*Divergence // minimized, up to maxDivergences
 	TotalDivergences int
 
 	Unreached []UnreachedNote
@@ -165,7 +165,7 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "  divergences: %d\n", r.TotalDivergences)
 	for _, d := range r.Divergences {
-		fmt.Fprintf(&b, "    %s: first diverging field %q\n      reference:   %s\n      other:       %s\n      witness pkt: %x (port %d)\n",
+		fmt.Fprintf(&b, "    %s: first difference: %s\n      reference:   %s\n      other:       %s\n      witness pkt: %x (port %d)\n",
 			d.Pair, d.Field, d.A, d.B, d.Witness.Packet, d.Witness.Port)
 		for _, op := range d.Witness.Ops {
 			fmt.Fprintf(&b, "      witness op:  %s\n", op.String())

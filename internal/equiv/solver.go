@@ -3,7 +3,6 @@ package equiv
 import (
 	"fmt"
 
-	"microp4/internal/analysis"
 	"microp4/internal/ir"
 	"microp4/internal/sim"
 )
@@ -195,117 +194,4 @@ func exprWidth(e *ir.Expr) int {
 		return e.Hi - e.Lo + 1
 	}
 	return e.Width
-}
-
-// ----------------------------------------------------------------------------
-// Static per-path packet synthesis
-
-// statLocs tracks field locations while replaying a parser path's
-// statements statically; it is the static shadow of the interpreter's
-// frameObs.locs.
-type statLocs map[string]sim.BitLoc
-
-func (m statLocs) resolve(e *ir.Expr) sim.BitLoc {
-	if e == nil {
-		return sim.BitLoc{}
-	}
-	switch e.Kind {
-	case ir.ERef:
-		return m[e.Ref]
-	case ir.EUn:
-		if e.Op != "cast" {
-			return sim.BitLoc{}
-		}
-		in := m.resolve(e.X)
-		if !in.OK {
-			return sim.BitLoc{}
-		}
-		if e.Width > 0 && e.Width < in.Width {
-			return sim.BitLoc{Off: in.Off + in.Width - e.Width, Width: e.Width, OK: true}
-		}
-		return in
-	case ir.ESlice:
-		in := m.resolve(e.X)
-		if !in.OK || e.Hi >= in.Width || e.Lo < 0 || e.Hi < e.Lo {
-			return sim.BitLoc{}
-		}
-		return sim.BitLoc{Off: in.Off + in.Width - 1 - e.Hi, Width: e.Hi - e.Lo + 1, OK: true}
-	}
-	return sim.BitLoc{}
-}
-
-// SolvePacket synthesizes a packet that drives p's parser down the given
-// enumerated path, byte-by-byte from the path's select constraints. pad
-// extra zero bytes follow the extracted region so accepting paths have
-// payload to deparse. Paths through varbit extractions are not solvable
-// statically (the concolic explorer covers them); they return an error.
-func SolvePacket(p *ir.Program, path *analysis.ParserPath, pad int) ([]byte, error) {
-	for _, ex := range path.Extracts {
-		if ex.Varbit {
-			return nil, fmt.Errorf("%s: path %s extracts varbit header %s; not statically solvable", p.Name, path.Key(), ex.Hdr)
-		}
-	}
-	pkt := make([]byte, path.Bytes+pad)
-	locs := make(statLocs)
-	nextExtract := 0
-	for _, step := range path.Steps {
-		for _, s := range step.Stmts {
-			switch s.Kind {
-			case ir.SExtract:
-				if nextExtract >= len(path.Extracts) {
-					return nil, fmt.Errorf("%s: path %s has more extracts than recorded", p.Name, path.Key())
-				}
-				ex := path.Extracts[nextExtract]
-				nextExtract++
-				ht := p.HeaderOf(ex.Hdr)
-				if ht == nil {
-					return nil, fmt.Errorf("%s: unknown header %s", p.Name, ex.Hdr)
-				}
-				off := ex.ByteOff * 8
-				for _, fl := range ht.Fields {
-					locs[ex.Hdr+"."+fl.Name] = sim.BitLoc{Off: off, Width: fl.Width, OK: true}
-					off += fl.Width
-				}
-			case ir.SAssign:
-				// A parser-state assignment breaks the static field→byte
-				// correspondence for its target.
-				if s.LHS != nil && s.LHS.Kind == ir.ERef {
-					delete(locs, s.LHS.Ref)
-				}
-			}
-		}
-		c := step.Constraint
-		if c == nil {
-			continue
-		}
-		st := p.Parser.State(step.State)
-		if st == nil || st.Trans == nil || st.Trans.Kind != "select" {
-			return nil, fmt.Errorf("%s: state %s has a constraint but no select", p.Name, step.State)
-		}
-		tr := st.Trans
-		ws := make([]int, len(tr.Exprs))
-		cur := make([]uint64, len(tr.Exprs))
-		eLocs := make([]sim.BitLoc, len(tr.Exprs))
-		for j, e := range tr.Exprs {
-			ws[j] = exprWidth(e)
-			eLocs[j] = locs.resolve(e)
-			if !eLocs[j].OK {
-				return nil, fmt.Errorf("%s: select operand %d in state %s has no static packet location", p.Name, j, step.State)
-			}
-			cur[j] = sim.ReadBits(pkt, eLocs[j].Off, eLocs[j].Width)
-		}
-		vals, reason := chooseCaseValues(tr.Cases, cur, ws, c.CaseIndex)
-		if reason != "" {
-			return nil, fmt.Errorf("%s: state %s case %d: %s", p.Name, step.State, c.CaseIndex, reason)
-		}
-		for j := range vals {
-			if sim.Truncate(vals[j], ws[j]) == sim.Truncate(cur[j], ws[j]) {
-				continue
-			}
-			if r := writeLoc(pkt, eLocs[j], vals[j]); r != "" {
-				return nil, fmt.Errorf("%s: state %s operand %d: %s", p.Name, step.State, j, r)
-			}
-		}
-	}
-	return pkt, nil
 }

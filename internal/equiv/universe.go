@@ -16,8 +16,8 @@ type parserUniverse struct {
 	Prog    string
 	Keys    []string // deterministic order: enumerated first, then derived
 	Accepts int
-	Rejects int                             // explicit + derived no-match
-	Paths   map[string]*analysis.ParserPath // enumerated paths by key
+	Rejects int             // explicit + derived no-match
+	Has     map[string]bool // membership of Keys
 }
 
 // noMatchKey builds the key of the implicit reject path that falls off
@@ -77,8 +77,8 @@ func buildParserUniverses(l *linker.Linked) ([]*parserUniverse, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		u := &parserUniverse{Prog: p.Name, Paths: make(map[string]*analysis.ParserPath)}
 		seen := make(map[string]bool)
+		u := &parserUniverse{Prog: p.Name, Has: seen}
 		for _, pp := range paths {
 			k := pp.Key()
 			if seen[k] {
@@ -86,7 +86,6 @@ func buildParserUniverses(l *linker.Linked) ([]*parserUniverse, error) {
 			}
 			seen[k] = true
 			u.Keys = append(u.Keys, k)
-			u.Paths[k] = pp
 			if pp.Rejected {
 				u.Rejects++
 			} else {

@@ -18,14 +18,14 @@ func TestCompositionGoldens(t *testing.T) {
 		userTbls  int
 		instances int // inlined module instances incl. main
 	}{
-		"P1": {bs: 54, minPkt: 14, tables: 6, userTbls: 2, instances: 2},
-		"P2": {bs: 58, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
-		"P3": {bs: 54, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
-		"P4": {bs: 54, minPkt: 14, tables: 10, userTbls: 3, instances: 4},
-		"P5": {bs: 54, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
-		"P6": {bs: 84, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
-		"P7": {bs: 126, minPkt: 14, tables: 12, userTbls: 3, instances: 5},
-		"P8": {bs: 72, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
+		"P1":  {bs: 54, minPkt: 14, tables: 6, userTbls: 2, instances: 2},
+		"P2":  {bs: 58, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
+		"P3":  {bs: 54, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
+		"P4":  {bs: 54, minPkt: 14, tables: 10, userTbls: 3, instances: 4},
+		"P5":  {bs: 54, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
+		"P6":  {bs: 84, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
+		"P7":  {bs: 126, minPkt: 14, tables: 12, userTbls: 3, instances: 5},
+		"P8":  {bs: 72, minPkt: 14, tables: 13, userTbls: 4, instances: 5},
 		"P9":  {bs: 54, minPkt: 14, tables: 14, userTbls: 5, instances: 5},
 		"P10": {bs: 156, minPkt: 14, tables: 18, userTbls: 7, instances: 6},
 		"P11": {bs: 54, minPkt: 14, tables: 11, userTbls: 5, instances: 3},

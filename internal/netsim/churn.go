@@ -8,22 +8,13 @@ import (
 	"microp4/internal/obs"
 )
 
-// ChurnTarget is the control-plane surface the churn injector drives.
-// *microp4.Switch implements it; the Switch's documented concurrency
-// contract makes every operation safe to race live Process calls.
+// ChurnTarget is the validated, error-returning control-plane surface
+// the churn injector drives. *microp4.Switch implements it; the
+// Switch's documented concurrency contract makes every operation safe
+// to race live Process calls. Churn counts the rejects, so schema
+// violations are an observable signal (up4_churn_rejects_total), not a
+// silent no-op.
 type ChurnTarget interface {
-	AddEntry(table string, keys []microp4.Key, action string, args ...uint64)
-	SetDefault(table, action string, args ...uint64)
-	ClearTable(table string)
-	SetMulticastGroup(gid uint64, ports ...uint64)
-}
-
-// ValidatedChurnTarget is the error-returning control surface
-// (*microp4.Switch implements this too). When the target provides it,
-// churn routes every op through it and counts the rejects — schema
-// violations stop silently no-opping and become an observable signal
-// (up4_churn_rejects_total).
-type ValidatedChurnTarget interface {
 	TryAddEntry(table string, keys []microp4.Key, action string, args ...uint64) error
 	TrySetDefault(table, action string, args ...uint64) error
 	TryClearTable(table string) error
@@ -88,8 +79,7 @@ func NewChurn(seed uint64, target ChurnTarget, cfg ChurnConfig) *Churn {
 	return c
 }
 
-// CountRejects attaches a counter incremented once per rejected op
-// (requires a ValidatedChurnTarget to observe rejections).
+// CountRejects attaches a counter incremented once per rejected op.
 func (c *Churn) CountRejects(counter *obs.Counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -136,7 +126,6 @@ func (c *Churn) checked(err error) {
 func (c *Churn) step() {
 	c.count++
 	r := c.rng
-	vt, validated := c.target.(ValidatedChurnTarget)
 	// Multicast churn interleaves with table churn when both configured.
 	if len(c.cfg.Groups) > 0 && (len(c.cfg.Tables) == 0 || r.Intn(4) == 0) {
 		gid := c.cfg.Groups[r.Intn(len(c.cfg.Groups))]
@@ -145,11 +134,7 @@ func (c *Churn) step() {
 		for j := 0; j < nports; j++ {
 			ports = append(ports, c.cfg.Ports[r.Intn(len(c.cfg.Ports))])
 		}
-		if validated {
-			c.checked(vt.TrySetMulticastGroup(gid, ports...))
-		} else {
-			c.target.SetMulticastGroup(gid, ports...)
-		}
+		c.checked(c.target.TrySetMulticastGroup(gid, ports...))
 		return
 	}
 	table := c.cfg.Tables[r.Intn(len(c.cfg.Tables))]
@@ -160,27 +145,14 @@ func (c *Churn) step() {
 	args := c.argsFor(table, action)
 	switch r.Intn(8) {
 	case 0:
-		if validated {
-			c.checked(vt.TryClearTable(table))
-		} else {
-			c.target.ClearTable(table)
-		}
+		c.checked(c.target.TryClearTable(table))
 	case 1:
 		if action != "" {
-			if validated {
-				c.checked(vt.TrySetDefault(table, action, args...))
-			} else {
-				c.target.SetDefault(table, action, args...)
-			}
+			c.checked(c.target.TrySetDefault(table, action, args...))
 		}
 	default:
 		if action != "" {
-			keys := c.keysFor(table)
-			if validated {
-				c.checked(vt.TryAddEntry(table, keys, action, args...))
-			} else {
-				c.target.AddEntry(table, keys, action, args...)
-			}
+			c.checked(c.target.TryAddEntry(table, c.keysFor(table), action, args...))
 		}
 	}
 }

@@ -134,7 +134,7 @@ func TestChurnSchemaShapedKeys(t *testing.T) {
 	}
 }
 
-// TestChurnRejectAccounting: a validated target's rejections are
+// TestChurnRejectAccounting: a target's rejections are
 // counted on the churn and (when wired) the metrics counter.
 func TestChurnRejectAccounting(t *testing.T) {
 	rejecting := &rejectingTarget{}
@@ -148,17 +148,12 @@ func TestChurnRejectAccounting(t *testing.T) {
 	}
 }
 
-// shapeTarget records the shapes of churned operations; both interfaces
-// implemented so churn takes the validated path.
+// shapeTarget records the shapes of churned operations.
 type shapeTarget struct {
 	keys *[][]microp4.Key
 	args *[][]uint64
 }
 
-func (s *shapeTarget) AddEntry(string, []microp4.Key, string, ...uint64) {}
-func (s *shapeTarget) SetDefault(string, string, ...uint64)              {}
-func (s *shapeTarget) ClearTable(string)                                 {}
-func (s *shapeTarget) SetMulticastGroup(uint64, ...uint64)               {}
 func (s *shapeTarget) TryAddEntry(table string, keys []microp4.Key, action string, args ...uint64) error {
 	*s.keys = append(*s.keys, keys)
 	*s.args = append(*s.args, args)
@@ -168,7 +163,7 @@ func (s *shapeTarget) TrySetDefault(table, action string, args ...uint64) error 
 	*s.args = append(*s.args, args)
 	return nil
 }
-func (s *shapeTarget) TryClearTable(string) error                 { return nil }
+func (s *shapeTarget) TryClearTable(string) error                   { return nil }
 func (s *shapeTarget) TrySetMulticastGroup(uint64, ...uint64) error { return nil }
 
 // rejectingTarget refuses everything.
@@ -176,10 +171,6 @@ type rejectingTarget struct{}
 
 var errNo = errors.New("no")
 
-func (r *rejectingTarget) AddEntry(string, []microp4.Key, string, ...uint64) {}
-func (r *rejectingTarget) SetDefault(string, string, ...uint64)              {}
-func (r *rejectingTarget) ClearTable(string)                                 {}
-func (r *rejectingTarget) SetMulticastGroup(uint64, ...uint64)               {}
 func (r *rejectingTarget) TryAddEntry(string, []microp4.Key, string, ...uint64) error {
 	return errNo
 }

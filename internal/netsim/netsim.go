@@ -197,10 +197,8 @@ func (n *Network) SetLinkDown(node string, port uint64, down bool) error {
 // opsPerPacket random control-plane operations (AddEntry, SetDefault,
 // ClearTable, SetMulticastGroup) drawn from its own seed stream. The
 // node's processor must also implement ChurnTarget (as
-// *microp4.Switch does); when it additionally implements
-// ValidatedChurnTarget, churn routes through the error-returning API
-// and — if EnableMetrics was called first — counts rejections in
-// up4_churn_rejects_total{node}.
+// *microp4.Switch does); if EnableMetrics was called first, rejections
+// are counted in up4_churn_rejects_total{node}.
 func (n *Network) AddChurn(node string, cfg ChurnConfig, opsPerPacket int) error {
 	nd := n.nodes[node]
 	if nd == nil {
@@ -213,10 +211,8 @@ func (n *Network) AddChurn(node string, cfg ChurnConfig, opsPerPacket int) error
 	c := NewChurn(splitmix64(n.seed^uint64(len(nd.churn)+1)^hashString(node)), target, cfg)
 	c.ops = opsPerPacket
 	if n.reg != nil {
-		if _, validated := nd.proc.(ValidatedChurnTarget); validated {
-			c.CountRejects(n.reg.Counter("up4_churn_rejects_total",
-				"Churn operations rejected by the validated control API", obs.L("node", node)))
-		}
+		c.CountRejects(n.reg.Counter("up4_churn_rejects_total",
+			"Churn operations rejected by the validated control API", obs.L("node", node)))
 	}
 	nd.churn = append(nd.churn, c)
 	return nil

@@ -327,17 +327,21 @@ func TestChurnStepsAreDeterministic(t *testing.T) {
 
 type recordingTarget struct{ ops *[]string }
 
-func (r *recordingTarget) AddEntry(table string, keys []microp4.Key, action string, args ...uint64) {
+func (r *recordingTarget) TryAddEntry(table string, keys []microp4.Key, action string, args ...uint64) error {
 	*r.ops = append(*r.ops, fmt.Sprintf("add %s %s %v", table, action, args))
+	return nil
 }
-func (r *recordingTarget) SetDefault(table, action string, args ...uint64) {
+func (r *recordingTarget) TrySetDefault(table, action string, args ...uint64) error {
 	*r.ops = append(*r.ops, fmt.Sprintf("default %s %s %v", table, action, args))
+	return nil
 }
-func (r *recordingTarget) ClearTable(table string) {
+func (r *recordingTarget) TryClearTable(table string) error {
 	*r.ops = append(*r.ops, "clear "+table)
+	return nil
 }
-func (r *recordingTarget) SetMulticastGroup(gid uint64, ports ...uint64) {
+func (r *recordingTarget) TrySetMulticastGroup(gid uint64, ports ...uint64) error {
 	*r.ops = append(*r.ops, fmt.Sprintf("mc %d %v", gid, ports))
+	return nil
 }
 
 func TestPartitionWindows(t *testing.T) {

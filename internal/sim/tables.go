@@ -179,9 +179,10 @@ func (t *Tables) EntryCount(table string) int {
 // TablesSnapshot is an immutable point-in-time copy of control-plane
 // table state — runtime entries, default overrides, and the priority
 // sequence — taken by Snapshot and reinstated by Restore. It backs the
-// switch checkpoints the ctrlplane's two-phase commit rolls back to on
-// abort. Installed entries are immutable, so a snapshot shares them
-// with the live state instead of copying.
+// switch checkpoints that bootstrap a replica and the empty control
+// plane the equivalence gate restores before each witness. Installed
+// entries are immutable, so a snapshot shares them with the live state
+// instead of copying.
 type TablesSnapshot struct {
 	tables map[string]tableSnapshot
 	seq    int
@@ -330,6 +331,13 @@ func matchRuntimeEntry(def *ir.Table, keys []RuntimeKey, keyVals []uint64) (plen
 		}
 	}
 	return plen, true
+}
+
+// EntryMatches reports whether an installed entry with these keys
+// matches the key values on table def, by the engines' own rule.
+func EntryMatches(def *ir.Table, keys []RuntimeKey, keyVals []uint64) bool {
+	_, ok := matchRuntimeEntry(def, keys, keyVals)
+	return ok
 }
 
 // matchKey checks one key column.

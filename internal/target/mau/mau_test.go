@@ -122,12 +122,12 @@ func TestExclusivePredicate(t *testing.T) {
 		want bool
 	}{
 		{nil, nil, false},
-		{[]Branch{{1, 0}}, nil, false},                                     // prefix: gateway vs its arm
-		{[]Branch{{1, 0}}, []Branch{{1, 1}}, true},                         // sibling arms
-		{[]Branch{{1, 0}}, []Branch{{1, 0}}, false},                        // same arm
-		{[]Branch{{1, 0}, {2, 0}}, []Branch{{1, 0}, {2, 1}}, true},         // nested siblings
-		{[]Branch{{1, 0}, {2, 0}}, []Branch{{1, 1}, {3, 0}}, true},         // diverge at outer level
-		{[]Branch{{1, 0}, {2, 0}}, []Branch{{1, 0}}, false},                // arm vs enclosing path
+		{[]Branch{{1, 0}}, nil, false},                             // prefix: gateway vs its arm
+		{[]Branch{{1, 0}}, []Branch{{1, 1}}, true},                 // sibling arms
+		{[]Branch{{1, 0}}, []Branch{{1, 0}}, false},                // same arm
+		{[]Branch{{1, 0}, {2, 0}}, []Branch{{1, 0}, {2, 1}}, true}, // nested siblings
+		{[]Branch{{1, 0}, {2, 0}}, []Branch{{1, 1}, {3, 0}}, true}, // diverge at outer level
+		{[]Branch{{1, 0}, {2, 0}}, []Branch{{1, 0}}, false},        // arm vs enclosing path
 	}
 	for i, c := range cases {
 		if got := Exclusive(c.a, c.b); got != c.want {

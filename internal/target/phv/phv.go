@@ -116,7 +116,7 @@ type open struct {
 
 // allocState tracks class usage during one Allocate call.
 type allocState struct {
-	inv   Inventory
+	inv                   Inventory
 	used8, used16, used32 int
 }
 
